@@ -19,9 +19,9 @@ from .composite import (
     linhart_score,
     spec_for_task,
 )
-from .metrics import W2Report, empirical_w2, sliced_w2
+from .metrics import W2Report, empirical_w2
 from .sampler import DivergenceError, SampleSet, annealed_sample, ula_chain
-from .schedule import LevelGrid, Schedule, alpha, levels, v
+from .schedule import Schedule, alpha, levels, v
 from .tasks import (
     KINDS,
     GaussianDist,
@@ -32,7 +32,6 @@ from .tasks import (
     gmm_likelihood_task,
     gmm_prior_task,
     individual_posterior_score,
-    individual_scores,
     joint_posterior_mixture,
     posterior_log_density,
     posterior_mixture,
@@ -46,11 +45,9 @@ from .theory import (
     BridgingConstants,
     bridging_moments,
     compose_gaussians,
-    composite_smoothness,
     constant_gap,
     gaussian_constants,
     gaussian_w2,
-    propagate_smoothness,
     proxy_bridge,
 )
 from .tuner import (
@@ -63,7 +60,6 @@ from .tuner import (
     gaussian_proxy,
     global_bound,
     plan,
-    proxy_compose,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +69,6 @@ __all__ = [
     "METHODS",
     "KINDS",
     "Schedule",
-    "LevelGrid",
     "alpha",
     "v",
     "levels",
@@ -91,7 +86,6 @@ __all__ = [
     "exact_posterior_sample",
     "prior_score",
     "prior_log_density",
-    "individual_scores",
     "individual_posterior_score",
     "posterior_log_density",
     "CompositeSpec",
@@ -109,8 +103,6 @@ __all__ = [
     "gaussian_constants",
     "constant_gap",
     "gaussian_w2",
-    "propagate_smoothness",
-    "composite_smoothness",
     "TuningError",
     "TuningConfig",
     "LevelPlan",
@@ -119,7 +111,6 @@ __all__ = [
     "bias_term",
     "global_bound",
     "gaussian_proxy",
-    "proxy_compose",
     "plan",
     "DivergenceError",
     "SampleSet",
@@ -127,5 +118,4 @@ __all__ = [
     "annealed_sample",
     "W2Report",
     "empirical_w2",
-    "sliced_w2",
 ]

@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .composite import METHODS, compose_dsm_error, composite_field
 from .metrics import empirical_w2
-from .sampler import DivergenceError, annealed_sample
+from .sampler import DivergenceError, SampleSet, annealed_sample
 from .schedule import Schedule
 from .tasks import (
     KINDS,
@@ -181,25 +184,8 @@ def build_task(cfg: dict, n: int, cell_seed: int) -> Task:
                 prior_scales=prior["scales"],
                 prior_weights=prior["weights"],
             )
-        obs = simulate_observations(template, n, _key_rng(data_seed, cell_seed, n))
-        return Task(
-            kind=kind,
-            dim=dim,
-            observations=obs,
-            likelihood_cov=template.likelihood_cov,
-            prior_means=template.prior_means,
-            prior_scales=template.prior_scales,
-            prior_weights=template.prior_weights,
-        )
     obs = simulate_observations(template, n, _key_rng(data_seed, cell_seed, n))
-    return Task(
-        kind=kind,
-        dim=dim,
-        observations=obs,
-        likelihood_cov=template.likelihood_cov,
-        likelihood_cov_scales=template.likelihood_cov_scales,
-        likelihood_weights=template.likelihood_weights,
-    )
+    return dataclasses.replace(template, observations=obs)
 
 
 def _schedule(cfg: dict) -> Schedule:
@@ -221,7 +207,6 @@ def _tuning_config(cfg: dict, n: int, method: str) -> TuningConfig:
         omega=float(tune["omega"]),
         eps_dsm=eps,
         T=int(tune["T"]),
-        seed=int(cfg["sampling"]["seed"]),
     )
 
 
@@ -293,12 +278,25 @@ def cmd_tune(cfg: dict, out_dir: Path) -> int:
     return code
 
 
-def _run_cell(cfg: dict, method: str, n: int, seed: int, task: Task, sched: Schedule) -> dict:
-    record: dict = {"n": n, "seed": seed, "method": method, "status": "ok", "error": ""}
+def _shared_reference(task: Task, count: int, seed: int) -> Callable[[], SampleSet]:
+    """The exact posterior sample of a cell, built on first use and reused by every method."""
+    return functools.cache(lambda: exact_posterior_sample(task, count, seed))
+
+
+def _run_cell(
+    cfg: dict,
+    tuning: TuningConfig,
+    method: str,
+    seed: int,
+    task: Task,
+    sched: Schedule,
+    reference: Callable[[], SampleSet],
+) -> dict:
+    record: dict = {"n": task.n, "seed": seed, "method": method, "status": "ok", "error": ""}
     timing: dict[str, float] = {}
     start = time.perf_counter()
     try:
-        level_plan = plan(task, method, _tuning_config(cfg, n, method), sched)
+        level_plan = plan(task, method, tuning, sched)
         timing["tune_s"] = time.perf_counter() - start
         record["total_steps"] = level_plan.total_steps
         record["global_bound"] = global_bound(level_plan)
@@ -309,18 +307,20 @@ def _run_cell(cfg: dict, method: str, n: int, seed: int, task: Task, sched: Sche
         )
         timing["sample_s"] = time.perf_counter() - start
         start = time.perf_counter()
-        reference = exact_posterior_sample(task, samples.count, seed)
-        report = empirical_w2(samples, reference)
-        timing["evaluate_s"] = time.perf_counter() - start
-        record["final_w2"] = report.value
-        record["_samples"] = samples
+        try:
+            exact = reference()
+        except ValueError as exc:  # e.g. too many joint components; not a config error
+            record.update(status="error", error=f"reference: {exc}")
+        else:
+            record["final_w2"] = empirical_w2(samples, exact).value
+            record["_samples"] = samples
+            timing["evaluate_s"] = time.perf_counter() - start
     except TuningError as exc:
         record.update(status="error", error=f"tuning: {exc}")
     except DivergenceError as exc:
-        record.update(
-            status="error",
-            error=f"divergence at level t={exc.level:g}, step {exc.step}: {exc}",
-        )
+        record.update(status="error", error=f"divergence: {exc}")
+    except np.linalg.LinAlgError as exc:
+        record.update(status="error", error=f"numerical: {exc}")
     record["_timings"] = timing
     return record
 
@@ -328,14 +328,16 @@ def _run_cell(cfg: dict, method: str, n: int, seed: int, task: Task, sched: Sche
 def cmd_sample(cfg: dict, out_dir: Path) -> int:
     n = _require_int_n(cfg, "sample")
     seed = int(cfg["sampling"]["seed"])
+    tunings = {method: _tuning_config(cfg, n, method) for method in _methods(cfg)}
     sched = _schedule(cfg)
     task = build_task(cfg, n, seed)
+    reference = _shared_reference(task, int(cfg["sampling"]["chains"]), seed)
     formats = list(cfg["output"]["formats"])
     results: dict[str, dict] = {}
     timings: dict[str, dict] = {}
     code = 0
-    for method in _methods(cfg):
-        record = _run_cell(cfg, method, n, seed, task, sched)
+    for method, tuning in tunings.items():
+        record = _run_cell(cfg, tuning, method, seed, task, sched, reference)
         timings[method] = record.pop("_timings")
         samples = record.pop("_samples", None)
         if record["status"] != "ok":
@@ -383,15 +385,17 @@ def cmd_sweep(cfg: dict, out_dir: Path, workers: int = 1) -> int:
         raise ValueError("task.n list must be nonempty")
     seeds = cfg["sampling"]["seeds"] or [int(cfg["sampling"]["seed"])]
     methods = _methods(cfg)
+    tunings = {(n, method): _tuning_config(cfg, n, method) for n in n_list for method in methods}
     sched = _schedule(cfg)
     start_all = time.perf_counter()
 
     def run_pair(pair: tuple[int, int]) -> list[dict]:
         n, seed = pair
         task = build_task(cfg, n, seed)  # shared by both methods within a cell
+        reference = _shared_reference(task, int(cfg["sampling"]["chains"]), seed)
         records = []
         for method in methods:
-            record = _run_cell(cfg, method, n, seed, task, sched)
+            record = _run_cell(cfg, tunings[n, method], method, seed, task, sched, reference)
             record.pop("_samples", None)
             record.pop("_timings", None)
             records.append(record)

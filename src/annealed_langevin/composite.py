@@ -27,9 +27,9 @@ from .tasks import (
     ScoreField,
     Task,
     _as_spd,
+    _conjugate_update,
     _diffuse_stacked,
     _mixture_scores,
-    _stack_base_mixtures,
     posterior_moments,
     prior_dist,
 )
@@ -103,8 +103,14 @@ def diffuse_covariance(cov: np.ndarray, t: float, s: Schedule) -> np.ndarray:
     return a * cov + (1.0 - a) * np.eye(cov.shape[0])
 
 
-def _precisions_at(spec: CompositeSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Backward-kernel precisions C^{-1} + (alpha_t/v_t) I of every proxy."""
+def _level_weights(spec: CompositeSpec, t: float):
+    """Linhart weights at level t: (post_prec, prior_prec, Lambda_t, Cholesky factor of Lambda_t).
+
+    The precisions are the backward-kernel ones, C^{-1} + (alpha_t/v_t) I, of
+    every proxy, and Lambda_t = sum_i Sigma_{t,i}^{-1} + (1-n) Sigma_{t,lambda}^{-1}.
+    Singular or indefinite Lambda_t surfaces as a linear-algebra error; no
+    regularization is applied.
+    """
     a = schedule_alpha(spec.sched, t)
     noise = 1.0 - a
     if noise <= 0:
@@ -119,25 +125,55 @@ def _precisions_at(spec: CompositeSpec, t: float) -> tuple[np.ndarray, np.ndarra
         post_prec[i] = 0.5 * (prec + prec.T) + shrink
     factor = cho_factor(spec.prior_cov, lower=True)
     prior_prec = cho_solve(factor, eye)
-    return post_prec, 0.5 * (prior_prec + prior_prec.T) + shrink
-
-
-def lambda_matrix(spec: CompositeSpec, t: float) -> np.ndarray:
-    """Lambda_t = sum_i Sigma_{t,i}^{-1} + (1-n) Sigma_{t,lambda}^{-1}; must be SPD."""
-    post_prec, prior_prec = _precisions_at(spec, t)
+    prior_prec = 0.5 * (prior_prec + prior_prec.T) + shrink
     lam = post_prec.sum(axis=0) + (1 - spec.n) * prior_prec
     try:
-        np.linalg.cholesky(lam)
+        lam_factor = cho_factor(lam, lower=True)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"lambda matrix is not positive definite at t={t:g}"
         ) from exc
-    return lam
+    return post_prec, prior_prec, lam, lam_factor
 
 
-def _check_fields(spec: CompositeSpec, post_scores: Sequence[ScoreField]) -> None:
+def lambda_matrix(spec: CompositeSpec, t: float) -> np.ndarray:
+    """Lambda_t = sum_i Sigma_{t,i}^{-1} + (1-n) Sigma_{t,lambda}^{-1}; must be SPD."""
+    return _level_weights(spec, t)[2]
+
+
+def _aggregate(
+    method: str, prior_score: np.ndarray, post_scores: np.ndarray, weights
+) -> np.ndarray:
+    """The composite score from the prior score (N, d) and the posterior scores (n, N, d).
+
+    weights is _level_weights' output for linhart and unused by geffner.
+    """
+    n = post_scores.shape[0]
+    if method == "geffner":
+        return (1 - n) * prior_score + post_scores.sum(axis=0)
+    post_prec, prior_prec, _, lam_factor = weights
+    inner = np.einsum("nij,nkj->ki", post_prec, post_scores)
+    inner += (1 - n) * (prior_score @ prior_prec)
+    return cho_solve(lam_factor, inner.T).T
+
+
+def _compose(
+    method: str,
+    spec: CompositeSpec,
+    prior_score: ScoreField,
+    post_scores: Sequence[ScoreField],
+    theta: np.ndarray,
+    t: float,
+) -> np.ndarray:
+    """Evaluate the fields at theta and aggregate them as composite_field's fields do."""
     if len(post_scores) != spec.n:
         raise ValueError(f"expected {spec.n} posterior score fields, got {len(post_scores)}")
+    theta = np.asarray(theta, dtype=float)
+    d = theta.shape[-1]
+    prior = np.asarray(prior_score(theta, t), dtype=float).reshape(-1, d)
+    posts = np.array([np.asarray(f(theta, t), dtype=float).reshape(-1, d) for f in post_scores])
+    weights = _level_weights(spec, t) if method == "linhart" else None
+    return _aggregate(method, prior, posts, weights).reshape(theta.shape)
 
 
 def geffner_score(
@@ -148,12 +184,7 @@ def geffner_score(
     t: float,
 ) -> np.ndarray:
     """(1-n) * prior score + sum of per-observation posterior scores."""
-    _check_fields(spec, post_scores)
-    theta = np.asarray(theta, dtype=float)
-    out = (1 - spec.n) * np.asarray(prior_score(theta, t), dtype=float)
-    for field in post_scores:
-        out = out + np.asarray(field(theta, t), dtype=float)
-    return out
+    return _compose("geffner", spec, prior_score, post_scores, theta, t)
 
 
 def linhart_score(
@@ -163,22 +194,8 @@ def linhart_score(
     theta: np.ndarray,
     t: float,
 ) -> np.ndarray:
-    """Precision-weighted aggregation normalized by Lambda_t.
-
-    Singular or indefinite Lambda_t surfaces as a linear-algebra error; no
-    regularization is applied.
-    """
-    _check_fields(spec, post_scores)
-    theta = np.asarray(theta, dtype=float)
-    d = theta.shape[-1]
-    post_prec, prior_prec = _precisions_at(spec, t)
-    lam = post_prec.sum(axis=0) + (1 - spec.n) * prior_prec
-    inner = (1 - spec.n) * (np.asarray(prior_score(theta, t), dtype=float) @ prior_prec)
-    for i, field in enumerate(post_scores):
-        inner = inner + np.asarray(field(theta, t), dtype=float) @ post_prec[i]
-    lam_factor = cho_factor(lam, lower=True)
-    flat = inner.reshape(-1, d)
-    return cho_solve(lam_factor, flat.T).T.reshape(theta.shape)
+    """Precision-weighted aggregation normalized by Lambda_t (see _level_weights)."""
+    return _compose("linhart", spec, prior_score, post_scores, theta, t)
 
 
 def compose_dsm_error(eps_prior: float, eps_post: float, n: int, method: str) -> float:
@@ -221,37 +238,25 @@ def composite_field(task: Task, method: str, s: Schedule):
     _check_method(method)
     if task.n < 1:
         raise ValueError("need at least one observation")
-    n, d = task.n, task.dim
-    base_post = _stack_base_mixtures(task, np.arange(n))
-    prior = prior_dist(task)
-    base_prior = None
-    if isinstance(prior, GaussianMixture):
-        base_prior = (np.log(prior.weights)[None, :], prior.means[None, :, :], prior.covs)
+    base_post = _conjugate_update(task, task.observations, 1)
+    base_prior = prior_dist(task)._params() if task.kind == "gmm_prior" else None
     spec = spec_for_task(task, method, s) if method == "linhart" else None
 
     def factory(level_index: int, t: float) -> ScoreField:
-        log_w, means, covs = _diffuse_stacked(*base_post, t, s)
-        prior_params = None
-        if base_prior is not None:
-            prior_params = _diffuse_stacked(*base_prior, t, s)
-        if method == "linhart":
-            post_prec, prior_prec = _precisions_at(spec, t)
-            lam_factor = cho_factor(lambda_matrix(spec, t), lower=True)
+        post_params = _diffuse_stacked(*base_post, t, s)
+        prior_params = None if base_prior is None else _diffuse_stacked(*base_prior, t, s)
+        weights = None if spec is None else _level_weights(spec, t)
 
         def field(theta: np.ndarray, t_arg: float) -> np.ndarray:
-            scores, _ = _mixture_scores(log_w, means, covs, theta)  # (n, N, d)
+            scores, _ = _mixture_scores(*post_params, theta)  # (n, N, d)
             if prior_params is None:
-                pscore = -theta
+                pscore = -theta  # the standard normal prior diffuses to itself
             else:
                 pscore = _mixture_scores(*prior_params, theta)[0][0]
-            if method == "geffner":
-                return (1 - n) * pscore + scores.sum(axis=0)
-            inner = np.einsum("nij,nkj->ki", post_prec, scores)
-            inner += (1 - n) * (pscore @ prior_prec)
-            return cho_solve(lam_factor, inner.T).T
+            return _aggregate(method, pscore, scores, weights)
 
         if task.kind == "gaussian":
-            return _affine_probe(field, t, d)
+            return _affine_probe(field, t, task.dim)
         return field
 
     return factory

@@ -1,8 +1,7 @@
 """Empirical 2-Wasserstein distances between sample sets.
 
-The reference estimator solves the squared-Euclidean assignment problem
-exactly (Jonker-Volgenant via scipy); a sliced projection estimator is
-available as a cheap cross-check for large sets.
+The estimator solves the squared-Euclidean assignment problem exactly
+(Jonker-Volgenant via scipy), after subsampling both sets to a common size.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from scipy.spatial.distance import cdist
 
 from .sampler import SampleSet
 
-__all__ = ["W2Report", "empirical_w2", "sliced_w2"]
-
-_METHODS = ("exact_assignment", "sliced")
+__all__ = ["W2Report", "empirical_w2"]
 
 
 @dataclass(frozen=True)
@@ -31,8 +28,6 @@ class W2Report:
     subsample_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown estimator {self.method!r}")
         if not self.value >= 0:
             raise ValueError("distance must be nonnegative")
 
@@ -74,34 +69,4 @@ def empirical_w2(
         method="exact_assignment",
         sizes=(a.count, b.count),
         subsample_seed=subsample_seed if used_subsample else None,
-    )
-
-
-def sliced_w2(a: SampleSet, b: SampleSet, projections: int = 64, seed: int = 0) -> W2Report:
-    """Mean 1-D W2 over random unit directions (sorted quantile pairing)."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    if projections < 1:
-        raise ValueError("need at least one projection")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    dirs = rng.standard_normal((projections, a.dim))
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    dirs /= norms
-    pa = np.sort(a.points @ dirs.T, axis=0)  # (count_a, projections)
-    pb = np.sort(b.points @ dirs.T, axis=0)
-    if a.count == b.count:
-        diffs = pa - pb
-    else:
-        grid = max(a.count, b.count)
-        q = (np.arange(grid) + 0.5) / grid
-        ia = np.minimum((q * a.count).astype(int), a.count - 1)
-        ib = np.minimum((q * b.count).astype(int), b.count - 1)
-        diffs = pa[ia] - pb[ib]
-    per_direction = np.sqrt(np.mean(diffs * diffs, axis=0))
-    return W2Report(
-        value=float(per_direction.mean()),
-        method="sliced",
-        sizes=(a.count, b.count),
-        subsample_seed=None,
     )

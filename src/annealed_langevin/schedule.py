@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Schedule", "LevelGrid", "alpha", "v", "levels"]
+__all__ = ["Schedule", "alpha", "v", "levels"]
 
 
 @dataclass(frozen=True)
@@ -31,27 +31,6 @@ class Schedule:
             raise ValueError("t_floor must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class LevelGrid:
-    """Ordered annealing times t_0 < t_1 < ... < t_T with t_0 = t_floor, t_T = 1."""
-
-    times: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise ValueError("need at least two level times")
-        if not np.all(np.diff(times) > 0.0):
-            raise ValueError("level times must be strictly increasing")
-        if times[-1] != 1.0:
-            raise ValueError("last level time must be 1")
-        object.__setattr__(self, "times", times)
-
-    @property
-    def T(self) -> int:
-        return self.times.size - 1
-
-
 def _check_time(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > 1.0):
@@ -72,10 +51,12 @@ def v(s: Schedule, t):
     return out
 
 
-def levels(s: Schedule, T: int) -> LevelGrid:
-    """Uniform grid of T+1 annealing times with the first entry clamped to t_floor."""
+def levels(s: Schedule, T: int) -> np.ndarray:
+    """Uniform grid of T+1 annealing times t_0 < ... < t_T = 1 with t_0 = t_floor."""
     if T < 1:
         raise ValueError("need at least one annealing level")
     times = np.maximum(np.arange(T + 1, dtype=float) / T, s.t_floor)
     times[0] = s.t_floor
-    return LevelGrid(times=times)
+    if not np.all(np.diff(times) > 0.0):
+        raise ValueError("level times must be strictly increasing: t_floor must lie below 1/T")
+    return times

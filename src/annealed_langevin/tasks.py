@@ -40,7 +40,6 @@ __all__ = [
     "prior_score",
     "prior_log_density",
     "individual_posterior_score",
-    "individual_scores",
     "posterior_log_density",
     "posterior_mixture",
     "posterior_moments",
@@ -90,21 +89,15 @@ class GaussianDist:
     def dim(self) -> int:
         return self.mean.size
 
+    def _params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This distribution as a stack of one one-component mixture, for _mixture_scores."""
+        return np.zeros((1, 1)), self.mean[None, None, :], self.cov[None, :, :]
+
     def log_pdf(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        delta = theta - self.mean
-        factor = cho_factor(self.cov, lower=True)
-        sol = cho_solve(factor, delta.reshape(-1, self.dim).T).T.reshape(delta.shape)
-        logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
-        quad = np.sum(delta * sol, axis=-1)
-        return -0.5 * (quad + logdet + self.dim * _LOG_2PI)
+        return _evaluate(self._params(), theta)[1]
 
     def score(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        delta = theta - self.mean
-        factor = cho_factor(self.cov, lower=True)
-        sol = cho_solve(factor, delta.reshape(-1, self.dim).T).T.reshape(delta.shape)
-        return -sol
+        return _evaluate(self._params(), theta)[0]
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         chol = np.linalg.cholesky(self.cov)
@@ -151,28 +144,14 @@ class GaussianMixture:
         cov = cov + np.einsum("k,ki,kj->ij", self.weights, centered, centered)
         return mean, 0.5 * (cov + cov.T)
 
-    def _component_log_pdfs(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        out = np.empty((self.component_count, theta.shape[0]))
-        for k in range(self.component_count):
-            out[k] = GaussianDist(self.means[k], self.covs[k]).log_pdf(theta)
-        return out
+    def _params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.log(self.weights)[None, :], self.means[None, :, :], self.covs
 
     def log_pdf(self, theta: np.ndarray) -> np.ndarray:
-        theta_arr = np.asarray(theta, dtype=float)
-        comp = self._component_log_pdfs(theta_arr)
-        out = logsumexp(comp + np.log(self.weights)[:, None], axis=0)
-        return out[0] if theta_arr.ndim == 1 else out
+        return _evaluate(self._params(), theta)[1]
 
     def score(self, theta: np.ndarray) -> np.ndarray:
-        theta_arr = np.asarray(theta, dtype=float)
-        theta2d = np.atleast_2d(theta_arr)
-        comp = self._component_log_pdfs(theta2d) + np.log(self.weights)[:, None]
-        resp = np.exp(comp - logsumexp(comp, axis=0, keepdims=True))  # (K, N)
-        out = np.zeros_like(theta2d)
-        for k in range(self.component_count):
-            out += resp[k][:, None] * GaussianDist(self.means[k], self.covs[k]).score(theta2d)
-        return out[0] if theta_arr.ndim == 1 else out
+        return _evaluate(self._params(), theta)[0]
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         choice = rng.choice(self.component_count, size=count, p=self.weights)
@@ -330,49 +309,61 @@ def _check_index(task: Task, i: int) -> int:
     return i
 
 
+def _conjugate_update(
+    task: Task, x: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Posterior of sum_k w_k N(mu_k, s_k^2 I) under N(x; theta, L_k / n), for each row of x.
+
+    Every kind is this one conjugate update. gaussian: a single component
+    (w, mu, s^2, L) = (1, 0, 1, Sigma). gmm_prior: the prior's components,
+    each with L_k = Sigma. gmm_likelihood: the likelihood's components, each
+    with mu_k = 0, s_k^2 = 1 and L_k = c_k Sigma. Component k of the
+    posterior has covariance s^2 (L + s^2 I)^{-1} L, mean
+    (L + s^2 I)^{-1} (L mu + s^2 x) and log weight
+    log w + log N(x; mu, L + s^2 I). n > 1 with x the observation mean gives
+    the joint posterior when the likelihood is a single Gaussian.
+
+    Returns normalized log weights (rows, K), means (rows, K, d) and
+    covariances (K, d, d); the covariances do not depend on x.
+    """
+    d = task.dim
+    sigma = task.likelihood_cov / n
+    if task.kind == "gmm_prior":
+        weights, prior_means = task.prior_weights, task.prior_means
+        prior_vars, like_covs = task.prior_scales**2, [sigma] * weights.size
+    elif task.kind == "gmm_likelihood":
+        weights = task.likelihood_weights
+        prior_means, prior_vars = np.zeros((weights.size, d)), np.ones(weights.size)
+        like_covs = [c * sigma for c in task.likelihood_cov_scales]
+    else:
+        weights, prior_means = np.ones(1), np.zeros((1, d))
+        prior_vars, like_covs = np.ones(1), [sigma]
+    eye = np.eye(d)
+    log_w = np.empty((x.shape[0], weights.size))
+    means = np.empty((x.shape[0], weights.size, d))
+    covs = np.empty((weights.size, d, d))
+    for k, like in enumerate(like_covs):
+        s2 = float(prior_vars[k])
+        factor = cho_factor(like + s2 * eye, lower=True)
+        cov = s2 * cho_solve(factor, like)
+        covs[k] = 0.5 * (cov + cov.T)
+        means[:, k] = cho_solve(factor, (like @ prior_means[k] + s2 * x).T).T
+        delta = x - prior_means[k]
+        quad = np.sum(delta * cho_solve(factor, delta.T).T, axis=1)
+        logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
+        log_w[:, k] = np.log(weights[k]) - 0.5 * (quad + logdet + d * _LOG_2PI)
+    return log_w - logsumexp(log_w, axis=1, keepdims=True), means, covs
+
+
+def _observation_params(task: Task, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    _check_index(task, i)
+    return _conjugate_update(task, task.observations[i : i + 1], 1)
+
+
 def posterior_mixture(task: Task, i: int) -> GaussianMixture:
     """Exact mixture decomposition of the single-observation posterior p(theta | x_i)."""
-    _check_index(task, i)
-    x = task.observations[i]
-    d = task.dim
-    eye = np.eye(d)
-    sigma = task.likelihood_cov
-    if task.kind == "gaussian":
-        factor = cho_factor(sigma + eye, lower=True)
-        cov = cho_solve(factor, sigma)
-        cov = 0.5 * (cov + cov.T)
-        mean = cho_solve(factor, x)
-        return GaussianMixture(np.ones(1), mean[None, :], cov[None, :, :])
-    if task.kind == "gmm_prior":
-        K = task.prior_weights.size
-        means = np.empty((K, d))
-        covs = np.empty((K, d, d))
-        log_w = np.empty(K)
-        for k in range(K):
-            s2 = float(task.prior_scales[k] ** 2)
-            factor = cho_factor(sigma + s2 * eye, lower=True)
-            cov = s2 * cho_solve(factor, sigma)
-            covs[k] = 0.5 * (cov + cov.T)
-            means[k] = cho_solve(factor, sigma @ task.prior_means[k] + s2 * x)
-            marginal = GaussianDist(task.prior_means[k], s2 * eye + sigma)
-            log_w[k] = np.log(task.prior_weights[k]) + marginal.log_pdf(x)
-        weights = np.exp(log_w - logsumexp(log_w))
-        return GaussianMixture(weights / weights.sum(), means, covs)
-    # gmm_likelihood
-    K = task.likelihood_weights.size
-    means = np.empty((K, d))
-    covs = np.empty((K, d, d))
-    log_w = np.empty(K)
-    for k in range(K):
-        sig_k = float(task.likelihood_cov_scales[k]) * sigma
-        factor = cho_factor(sig_k + eye, lower=True)
-        cov = cho_solve(factor, sig_k)
-        covs[k] = 0.5 * (cov + cov.T)
-        means[k] = cho_solve(factor, x)
-        marginal = GaussianDist(np.zeros(d), eye + sig_k)
-        log_w[k] = np.log(task.likelihood_weights[k]) + marginal.log_pdf(x)
-    weights = np.exp(log_w - logsumexp(log_w))
-    return GaussianMixture(weights / weights.sum(), means, covs)
+    log_w, means, covs = _observation_params(task, i)
+    return GaussianMixture(np.exp(log_w[0]), means[0], covs)
 
 
 def posterior_moments(
@@ -384,24 +375,14 @@ def posterior_moments(
     in closed single-Gaussian form for the gaussian kind; other kinds raise
     (sample the joint with exact_posterior_sample instead).
     """
-    if i is not None:
-        mixture = posterior_mixture(task, i)
-        mean, cov = mixture.moments()
-        return mean, cov, mixture
-    if task.kind != "gaussian":
+    if i is None and task.kind != "gaussian":
         raise NotImplementedError(
             "joint moments are only closed-form for the gaussian kind; "
             "use exact_posterior_sample"
         )
-    if task.n < 1:
-        raise ValueError("need at least one observation")
-    d = task.dim
-    sigma = task.likelihood_cov
-    factor = cho_factor(sigma + task.n * np.eye(d), lower=True)
-    cov = cho_solve(factor, sigma)
-    cov = 0.5 * (cov + cov.T)
-    mean = cho_solve(factor, task.observations.sum(axis=0))
-    return mean, cov, GaussianMixture(np.ones(1), mean[None, :], cov[None, :, :])
+    mixture = joint_posterior_mixture(task) if i is None else posterior_mixture(task, i)
+    mean, cov = mixture.moments()
+    return mean, cov, mixture
 
 
 def joint_posterior_mixture(task: Task, component_cap: int = 4096) -> GaussianMixture:
@@ -414,30 +395,15 @@ def joint_posterior_mixture(task: Task, component_cap: int = 4096) -> GaussianMi
     """
     if task.n < 1:
         raise ValueError("need at least one observation")
+    n = task.n
+    if task.kind != "gmm_likelihood":
+        # prod_i N(x_i; theta, Sigma) is proportional to N(x_bar; theta, Sigma / n)
+        x_bar = task.observations.sum(axis=0) / n
+        log_w, means, covs = _conjugate_update(task, x_bar[None, :], n)
+        return GaussianMixture(np.exp(log_w[0]), means[0], covs)
     d = task.dim
     eye = np.eye(d)
     sigma = task.likelihood_cov
-    n = task.n
-    if task.kind == "gaussian":
-        mean, cov, mixture = posterior_moments(task, None)
-        return mixture
-    if task.kind == "gmm_prior":
-        x_sum = task.observations.sum(axis=0)
-        x_bar = x_sum / n
-        K = task.prior_weights.size
-        means = np.empty((K, d))
-        covs = np.empty((K, d, d))
-        log_w = np.empty(K)
-        for k in range(K):
-            s2 = float(task.prior_scales[k] ** 2)
-            factor = cho_factor(sigma + n * s2 * eye, lower=True)
-            cov = s2 * cho_solve(factor, sigma)
-            covs[k] = 0.5 * (cov + cov.T)
-            means[k] = cho_solve(factor, sigma @ task.prior_means[k] + s2 * x_sum)
-            marginal = GaussianDist(task.prior_means[k], s2 * eye + sigma / n)
-            log_w[k] = np.log(task.prior_weights[k]) + marginal.log_pdf(x_bar)
-        weights = np.exp(log_w - logsumexp(log_w))
-        return GaussianMixture(weights / weights.sum(), means, covs)
     # gmm_likelihood: enumerate component assignments
     K = task.likelihood_weights.size
     total = K**n
@@ -496,57 +462,11 @@ def exact_posterior_sample(
 # Diffused scores and log densities
 
 
-def _diffused_prior(task: Task, t: float, s: Schedule) -> GaussianDist | GaussianMixture:
-    base = prior_dist(task)
-    a = schedule_alpha(s, t)
-    v_t = 1.0 - a
-    if isinstance(base, GaussianDist):
-        # standard normal prior: alpha*I + v*I = I for every t
-        cov = a * base.cov + v_t * np.eye(task.dim)
-        return GaussianDist(np.sqrt(a) * base.mean, cov)
-    covs = a * base.covs + v_t * np.eye(task.dim)
-    return GaussianMixture(base.weights, np.sqrt(a) * base.means, covs)
-
-
-def prior_score(task: Task, theta: np.ndarray, t: float, s: Schedule) -> np.ndarray:
-    """Exact score of the diffused prior at time t."""
-    theta = _check_theta(task, theta)
-    return _diffused_prior(task, t, s).score(theta)
-
-
-def prior_log_density(task: Task, theta: np.ndarray, t: float, s: Schedule) -> np.ndarray:
-    """Log density of the diffused prior (finite-difference oracle target)."""
-    theta = _check_theta(task, theta)
-    return _diffused_prior(task, t, s).log_pdf(theta)
-
-
 def _check_theta(task: Task, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape[-1] != task.dim:
         raise ValueError("theta dimension disagrees with the task")
     return theta
-
-
-def _stack_base_mixtures(
-    task: Task, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time-0 posterior mixtures for the given observations, stacked.
-
-    Returns (log_weights (n, K), means (n, K, d), covs (K, d, d)); component
-    covariances are observation-independent for every supported kind.
-    """
-    if len(indices) == 0:
-        raise ValueError("need at least one observation")
-    log_w = []
-    means = []
-    covs = None
-    for i in indices:
-        mixture = posterior_mixture(task, int(i))
-        log_w.append(np.log(mixture.weights))
-        means.append(mixture.means)
-        if covs is None:
-            covs = mixture.covs
-    return np.array(log_w), np.array(means), covs
 
 
 def _diffuse_stacked(
@@ -556,13 +476,6 @@ def _diffuse_stacked(
     a = schedule_alpha(s, t)
     d = means.shape[-1]
     return log_w, np.sqrt(a) * means, a * covs + (1.0 - a) * np.eye(d)
-
-
-def _stacked_posterior_params(
-    task: Task, indices: np.ndarray, t: float, s: Schedule
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    log_w, means, covs = _stack_base_mixtures(task, indices)
-    return _diffuse_stacked(log_w, means, covs, t, s)
 
 
 def _mixture_scores(
@@ -594,36 +507,39 @@ def _mixture_scores(
     return scores, log_pdf
 
 
-def individual_scores(task: Task, theta: np.ndarray, t: float, s: Schedule) -> np.ndarray:
-    """Exact diffused posterior scores for every observation, stacked as (n, ..., d)."""
-    theta = _check_theta(task, theta)
-    theta2d = np.atleast_2d(theta)
-    log_w, means, covs = _stacked_posterior_params(task, np.arange(task.n), t, s)
-    scores, _ = _mixture_scores(log_w, means, covs, theta2d)
-    if theta.ndim == 1:
-        return scores[:, 0, :]
-    return scores
+def _evaluate(
+    params: tuple[np.ndarray, np.ndarray, np.ndarray], theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score and log density at theta (..., d) of the first of the stacked mixtures."""
+    theta = np.asarray(theta, dtype=float)
+    scores, log_pdf = _mixture_scores(*params, theta.reshape(-1, theta.shape[-1]))
+    return scores[0].reshape(theta.shape), log_pdf[0].reshape(theta.shape[:-1])
+
+
+def _diffused(task: Task, params, theta: np.ndarray, t: float, s: Schedule):
+    """Diffuse stacked time-0 mixture parameters to time t, then evaluate at theta."""
+    return _evaluate(_diffuse_stacked(*params, t, s), _check_theta(task, theta))
+
+
+def prior_score(task: Task, theta: np.ndarray, t: float, s: Schedule) -> np.ndarray:
+    """Exact score of the diffused prior at time t."""
+    return _diffused(task, prior_dist(task)._params(), theta, t, s)[0]
+
+
+def prior_log_density(task: Task, theta: np.ndarray, t: float, s: Schedule) -> np.ndarray:
+    """Log density of the diffused prior (finite-difference oracle target)."""
+    return _diffused(task, prior_dist(task)._params(), theta, t, s)[1]
 
 
 def individual_posterior_score(
     task: Task, i: int, theta: np.ndarray, t: float, s: Schedule
 ) -> np.ndarray:
     """Exact score of the diffused single-observation posterior p_t(theta | x_i)."""
-    _check_index(task, i)
-    theta = _check_theta(task, theta)
-    theta2d = np.atleast_2d(theta)
-    log_w, means, covs = _stacked_posterior_params(task, np.array([i]), t, s)
-    scores, _ = _mixture_scores(log_w, means, covs, theta2d)
-    return scores[0, 0, :] if theta.ndim == 1 else scores[0]
+    return _diffused(task, _observation_params(task, i), theta, t, s)[0]
 
 
 def posterior_log_density(
     task: Task, i: int, theta: np.ndarray, t: float, s: Schedule
 ) -> np.ndarray:
     """Log density of the diffused single-observation posterior at time t."""
-    _check_index(task, i)
-    theta = _check_theta(task, theta)
-    theta2d = np.atleast_2d(theta)
-    log_w, means, covs = _stacked_posterior_params(task, np.array([i]), t, s)
-    _, log_pdf = _mixture_scores(log_w, means, covs, theta2d)
-    return log_pdf[0, 0] if theta.ndim == 1 else log_pdf[0]
+    return _diffused(task, _observation_params(task, i), theta, t, s)[1]

@@ -1,10 +1,9 @@
 """Closed-form Gaussian bridging distributions and their Langevin-relevant constants.
 
 Provides exact bridging moments for the gaussian task kind, Gaussian-proxy
-bridges for everything else, log-concavity/smoothness constants (exact scalar
-formulas in the Gaussian case, interval-arithmetic composition otherwise),
-the analytic 2-Wasserstein distance between Gaussians, and the propagation of
-log-Lipschitz regularity through the forward diffusion.
+bridges for everything else, the exact scalar log-concavity/smoothness
+constants of the Gaussian bridges and their geffner-minus-linhart gap, and
+the analytic 2-Wasserstein distance between Gaussians.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
 
-from .composite import CompositeSpec, _check_method, _precisions_at, diffuse_covariance
+from .composite import _check_method, diffuse_covariance
 from .schedule import Schedule, alpha as schedule_alpha, v as schedule_v
 from .tasks import GaussianDist, Task
 
@@ -28,8 +27,6 @@ __all__ = [
     "gaussian_constants",
     "constant_gap",
     "gaussian_w2",
-    "propagate_smoothness",
-    "composite_smoothness",
 ]
 
 _EIG_CLAMP = 1e-12
@@ -51,10 +48,6 @@ class BridgingConstants:
             raise ValueError("smoothness constant must be positive")
         if self.m > self.M:
             raise ValueError("log-concavity constant cannot exceed smoothness constant")
-
-    @property
-    def is_log_concave(self) -> bool:
-        return self.m > 0
 
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -230,82 +223,3 @@ def gaussian_w2(a: GaussianDist, b: GaussianDist) -> float:
         cross = _psd_sqrt(root @ b.cov @ root)
         bures = float(np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))
     return math.sqrt(max(shift + bures, 0.0))
-
-
-def propagate_smoothness(L: float, t: float, s: Schedule) -> tuple[float, float]:
-    """Hessian bounds of a diffused log-Lipschitz density at time t.
-
-    Returns (lower, upper) with lower = 1 - R_t and upper = R_t + L^2 *
-    alpha_t + 1, where R_t = 5 * L * alpha_t^(3/2) * (L + 1/sqrt(log(1/alpha_t)/2)).
-    """
-    if L < 0:
-        raise ValueError("Lipschitz constant must be nonnegative")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    a = schedule_alpha(s, t)
-    if L == 0:
-        return (1.0, 1.0)
-    half_log = -0.5 * math.log(a)
-    r = 5.0 * L * a**1.5 * (L + 1.0 / math.sqrt(half_log))
-    return (1.0 - r, r + L * L * a + 1.0)
-
-
-def _eig_range(mat: np.ndarray) -> tuple[float, float]:
-    w = np.linalg.eigvalsh(mat)
-    return float(w[0]), float(w[-1])
-
-
-def composite_smoothness(
-    post_bounds: Sequence[tuple[float, float]],
-    prior_bounds: tuple[float, float],
-    spec: CompositeSpec,
-    method: str,
-    t: float,
-) -> BridgingConstants:
-    """Two-sided Hessian bounds for the composite bridging density at time t.
-
-    Inputs are per-field bounds (m_i, M_i) on -hessian(log p_t(.|x_i)) and
-    (m_prior, M_prior) for the diffused prior. geffner composes them with
-    unit weights; linhart weights each field by the eigenvalue range of its
-    diffused covariance proxy and of the mixing matrix, picking the
-    sign-appropriate endpoint. A nonpositive m is a flagged outcome (the
-    is_log_concave property), not an error.
-    """
-    _check_method(method)
-    n = spec.n
-    if len(post_bounds) != n:
-        raise ValueError(f"expected {n} posterior bound pairs, got {len(post_bounds)}")
-    for lo, hi in [*post_bounds, prior_bounds]:
-        if lo > hi:
-            raise ValueError("lower Hessian bound exceeds upper bound")
-        if hi <= 0:
-            raise ValueError("upper Hessian bound must be positive")
-    m_prior, big_m_prior = prior_bounds
-    if n == 1:
-        # prior weight vanishes and the single mixing weight cancels exactly
-        lo, hi = post_bounds[0]
-        return BridgingConstants(t=t, m=lo, M=hi, method=method)
-    if method == "geffner":
-        m_tilde = sum(lo for lo, _ in post_bounds) + (1 - n) * big_m_prior
-        big_m_tilde = sum(hi for _, hi in post_bounds) + (1 - n) * m_prior
-        return BridgingConstants(t=t, m=m_tilde, M=big_m_tilde, method=method)
-    post_prec, prior_prec = _precisions_at(spec, t)
-    # eigenvalue ranges of the backward-kernel covariances (inverted precisions)
-    post_ranges = []
-    for i in range(n):
-        p_lo, p_hi = _eig_range(post_prec[i])
-        post_ranges.append((1.0 / p_hi, 1.0 / p_lo))
-    p_lo, p_hi = _eig_range(prior_prec)
-    prior_lo, prior_hi = 1.0 / p_hi, 1.0 / p_lo
-    lam = post_prec.sum(axis=0) + (1 - n) * prior_prec
-    lam_lo, lam_hi = _eig_range(lam)
-    if lam_lo <= 0:
-        raise ValueError(f"lambda matrix is not positive definite at t={t:g}")
-    m_inner = (1 - n) * big_m_prior / prior_lo
-    big_m_inner = (1 - n) * (m_prior / prior_hi if m_prior >= 0 else m_prior / prior_lo)
-    for (lo, hi), (smin, smax) in zip(post_bounds, post_ranges):
-        m_inner += lo / smax if lo >= 0 else lo / smin
-        big_m_inner += hi / smin
-    m_tilde = m_inner / lam_hi if m_inner >= 0 else m_inner / lam_lo
-    big_m_tilde = big_m_inner / lam_lo if big_m_inner >= 0 else big_m_inner / lam_hi
-    return BridgingConstants(t=t, m=m_tilde, M=big_m_tilde, method=method)

@@ -20,7 +20,6 @@ from .tasks import GaussianDist, GaussianMixture, Task, posterior_moments, prior
 from .theory import (
     BridgingConstants,
     bridging_moments,
-    compose_gaussians,
     gaussian_constants,
     gaussian_w2,
     proxy_bridge,
@@ -35,7 +34,6 @@ __all__ = [
     "bias_term",
     "global_bound",
     "gaussian_proxy",
-    "proxy_compose",
     "plan",
 ]
 
@@ -61,7 +59,6 @@ class TuningConfig:
     omega: float
     eps_dsm: float = 0.0
     T: int = 10
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.gamma > 0:
@@ -210,16 +207,6 @@ def gaussian_proxy(task: Task, i: int | None = None) -> GaussianDist:
     return GaussianDist(mean=mean, cov=cov)
 
 
-def proxy_compose(
-    prior_proxy: GaussianDist, post_proxies: list[GaussianDist]
-) -> GaussianDist:
-    """Product-of-Gaussians composition of the proxies; non-SPD precision fails tuning."""
-    try:
-        return compose_gaussians(prior_proxy, post_proxies)
-    except ValueError as exc:
-        raise TuningError(f"proxy composition failed: {exc}") from exc
-
-
 def plan(task: Task, method: str, cfg: TuningConfig, s: Schedule) -> LevelPlan:
     """Tune all levels up front: bridging moments, constants, distances, then (h, k).
 
@@ -229,8 +216,7 @@ def plan(task: Task, method: str, cfg: TuningConfig, s: Schedule) -> LevelPlan:
     _check_method(method)
     if task.n < 1:
         raise ValueError("need at least one observation")
-    grid = levels(s, cfg.T)
-    times = grid.times
+    times = levels(s, cfg.T)
     d = task.dim
     proxy_flag = task.kind != "gaussian"
     bridges: list[GaussianDist] = []

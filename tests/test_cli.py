@@ -224,3 +224,72 @@ def test_sweep_propagates_failures(tmp_path):
     assert all(row["error"].startswith("tuning:") for row in cells)
     summary = _read_csv(out / "sweep_summary.csv")
     assert all(row["failures"] == row["cells"] for row in summary)
+
+
+def test_sweep_isolates_failing_cells(tmp_path, capsys):
+    # 2^13 = 8192 joint components exceed the exact reference's cap of 4096
+    cfg = {
+        "task": {
+            "kind": "gmm_likelihood",
+            "dim": 2,
+            "n": [2, 13],
+            "likelihood_mixture": {"cov_scales": [1.5, 0.5]},
+        },
+        "tuning": {"gamma": 1.0},
+        "sampling": {"chains": 64, "seed": 0},
+    }
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 1
+    cells = _read_csv(out / "sweep_cells.csv")
+    assert [(row["n"], row["method"]) for row in cells] == [
+        ("2", "geffner"), ("2", "linhart"), ("13", "geffner"), ("13", "linhart")
+    ]
+    for row in cells:
+        if row["n"] == "2":
+            assert row["status"] == "ok" and float(row["final_w2"]) >= 0.0
+        else:
+            assert row["status"] == "error" and row["error"].startswith("reference:")
+            assert "8192 components" in row["error"]
+    assert len(_read_csv(out / "sweep_summary.csv")) == 4
+    assert len(json.loads((out / "sweep.json").read_text())["results"]["cells"]) == 4
+    # a bad tuning target is still a config error, caught before any cell runs
+    cfg["tuning"]["gamma"] = -1
+    bad_out = tmp_path / "bad"
+    bad_path = _write_cfg(tmp_path / "bad.json", cfg)
+    assert main(["sweep", "--config", bad_path, "--out", str(bad_out)]) == 2
+    assert "gamma" in capsys.readouterr().err
+    assert not (bad_out / "sweep_cells.csv").exists()
+
+
+def test_reference_built_once_per_cell_pair(tmp_path, monkeypatch):
+    from annealed_langevin import SampleSet, cli, empirical_w2, exact_posterior_sample
+
+    calls = []
+
+    def counting(task, count, seed):
+        calls.append((task.n, seed))
+        return exact_posterior_sample(task, count, seed)
+
+    monkeypatch.setattr(cli, "exact_posterior_sample", counting)
+    cfg = dict(BASE, output={"formats": ["npy"]})
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "sample"
+    assert main(["sample", "--config", path, "--out", str(out)]) == 0
+    assert calls == [(3, 0)]
+    # the shared reference gives the W2 a fresh reference gives, bit for bit
+    report = json.loads((out / "sample.json").read_text())
+    task = build_task(resolve_config(cfg), 3, 0)
+    fresh = exact_posterior_sample(task, 200, 0)
+    for method in ("geffner", "linhart"):
+        points = np.load(out / f"samples_{method}.npy")
+        expected = empirical_w2(SampleSet(points=points, level=0.0, seed=0), fresh).value
+        assert report["results"]["methods"][method]["final_w2"] == expected
+    calls.clear()
+    sweep = {
+        "task": {"kind": "gaussian", "dim": 2, "n": [2, 3]},
+        "sampling": {"chains": 100, "seeds": [0, 1]},
+    }
+    path = _write_cfg(tmp_path / "sweep.json", sweep)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "sweep")]) == 0
+    assert sorted(calls) == [(2, 0), (2, 1), (3, 0), (3, 1)]

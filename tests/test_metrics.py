@@ -9,7 +9,6 @@ from annealed_langevin import (
     W2Report,
     empirical_w2,
     gaussian_w2,
-    sliced_w2,
 )
 from conftest import rand_spd
 
@@ -108,26 +107,4 @@ def test_dimension_mismatch_rejected():
 def test_report_validation():
     with pytest.raises(ValueError):
         W2Report(value=-1.0, method="exact_assignment", sizes=(1, 1))
-    with pytest.raises(ValueError):
-        W2Report(value=1.0, method="other", sizes=(1, 1))
 
-
-def test_sliced_w2_basics():
-    rng = np.random.default_rng(9)
-    pts = rng.standard_normal((256, 3))
-    same = sliced_w2(_pts(pts), _pts(pts))
-    assert same.method == "sliced"
-    assert same.value == pytest.approx(0.0, abs=1e-12)
-    shifted = sliced_w2(_pts(pts), _pts(pts + np.array([2.0, 0.0, 0.0])))
-    assert shifted.value > 0.5
-    # deterministic in the projection seed
-    again = sliced_w2(_pts(pts), _pts(pts + np.array([2.0, 0.0, 0.0])))
-    assert shifted.value == again.value
-
-
-def test_sliced_w2_handles_unequal_sizes():
-    rng = np.random.default_rng(10)
-    a = _pts(rng.standard_normal((300, 2)))
-    b = _pts(rng.standard_normal((200, 2)))
-    small = sliced_w2(a, b).value
-    assert small < 0.35  # same distribution, quantile-grid path

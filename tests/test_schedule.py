@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from annealed_langevin import LevelGrid, Schedule, alpha, levels, v
+from annealed_langevin import Schedule, alpha, levels, v
 
 
 def test_alpha_endpoint_values(sched):
@@ -35,32 +35,26 @@ def test_alpha_accepts_arrays(sched):
 
 
 def test_levels_grid_shape(sched):
-    grid = levels(sched, 10)
-    assert grid.T == 10
-    assert grid.times.shape == (11,)
-    assert grid.times[0] == pytest.approx(1e-5, abs=0.0)
-    assert grid.times[-1] == 1.0
-    assert np.all(np.diff(grid.times) > 0)
+    times = levels(sched, 10)
+    assert times.shape == (11,)
+    assert times[0] == pytest.approx(1e-5, abs=0.0)
+    assert times[-1] == 1.0
+    assert np.all(np.diff(times) > 0)
     # interior points sit on the uniform grid p / T
-    assert np.allclose(grid.times[1:], np.arange(1, 11) / 10.0, rtol=0, atol=1e-15)
+    assert np.allclose(times[1:], np.arange(1, 11) / 10.0, rtol=0, atol=1e-15)
 
 
 def test_levels_single_level(sched):
-    grid = levels(sched, 1)
-    assert grid.times.shape == (2,)
-    assert grid.times[0] == pytest.approx(1e-5, abs=0.0)
+    times = levels(sched, 1)
+    assert times.shape == (2,)
+    assert times[0] == pytest.approx(1e-5, abs=0.0)
 
 
 def test_levels_rejects_bad_T(sched):
     with pytest.raises(ValueError):
         levels(sched, 0)
-
-
-def test_level_grid_validation():
-    with pytest.raises(ValueError):
-        LevelGrid(times=np.array([0.2, 0.1, 1.0]))
-    with pytest.raises(ValueError):
-        LevelGrid(times=np.array([0.1, 0.9]))  # must end at 1
+    with pytest.raises(ValueError, match="strictly increasing"):
+        levels(Schedule(t_floor=0.2), 10)  # t_0 = 0.2 would repeat t_1 = 0.2
 
 
 def test_schedule_validation():

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 from annealed_langevin import (
+    KINDS,
     GaussianDist,
     GaussianMixture,
     Task,
@@ -12,7 +19,6 @@ from annealed_langevin import (
     gmm_likelihood_task,
     gmm_prior_task,
     individual_posterior_score,
-    individual_scores,
     joint_posterior_mixture,
     posterior_log_density,
     posterior_mixture,
@@ -174,17 +180,6 @@ def test_gaussian_individual_score_closed_form(sched):
         assert got == pytest.approx(expected, rel=1e-10)
 
 
-def test_individual_scores_stacks_all_observations(sched):
-    task = gaussian_task(np.eye(2) * 0.4, np.array([[1.0, -2.0], [0.3, 0.8]]))
-    theta = np.array([[0.7, -0.1], [0.0, 0.4]])
-    stacked = individual_scores(task, theta, 0.4, sched)
-    assert stacked.shape == (2, 2, 2)
-    for i in range(task.n):
-        assert stacked[i] == pytest.approx(
-            individual_posterior_score(task, i, theta, 0.4, sched), abs=1e-13
-        )
-
-
 def test_prior_dist_kinds():
     gauss = gaussian_task(np.eye(2), np.zeros((1, 2)))
     assert isinstance(prior_dist(gauss), GaussianDist)
@@ -212,3 +207,52 @@ def test_observation_count_property():
     assert task.n == 4
     template = gaussian_task(np.eye(2), np.zeros((0, 2)))
     assert template.n == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    d=st.integers(1, 6),
+    n=st.integers(1, 8),
+    log10_cond=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_posterior_mixture_matches_precision_form_bayes(kind, d, n, log10_cond, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    eigs = 10.0 ** (rng.uniform(-1.5, 0.0) + log10_cond * np.linspace(0.0, 1.0, d))
+    sigma = 0.5 * ((q * eigs) @ q.T + ((q * eigs) @ q.T).T)
+    obs = 2.0 * rng.standard_normal((n, d))
+    w = rng.uniform(0.1, 0.9)
+    eye = np.eye(d)
+    # (weight, prior mean, prior cov, likelihood cov) of each component
+    if kind == "gaussian":
+        task = gaussian_task(sigma, obs)
+        comps = [(1.0, np.zeros(d), eye, sigma)]
+    elif kind == "gmm_prior":
+        means, scales = rng.standard_normal((2, d)), rng.uniform(0.3, 2.0, 2)
+        task = gmm_prior_task(sigma, obs, means, scales, (w, 1.0 - w))
+        comps = [(wk, means[k], scales[k] ** 2 * eye, sigma) for k, wk in enumerate((w, 1.0 - w))]
+    else:
+        scales = rng.uniform(0.2, 3.0, 2)
+        task = gmm_likelihood_task(obs, base_cov=sigma, cov_scales=scales, weights=(w, 1.0 - w))
+        comps = [(wk, np.zeros(d), eye, scales[k] * sigma) for k, wk in enumerate((w, 1.0 - w))]
+    for i in range(n):
+        x = obs[i]
+        log_w, means, covs = [], [], []
+        for wk, mu, prior_cov, like_cov in comps:
+            prior_prec, like_prec = np.linalg.inv(prior_cov), np.linalg.inv(like_cov)
+            cov = np.linalg.inv(prior_prec + like_prec)
+            covs.append(cov)
+            means.append(cov @ (prior_prec @ mu + like_prec @ x))
+            log_w.append(np.log(wk) + multivariate_normal(mu, prior_cov + like_cov).logpdf(x))
+        weights = np.exp(np.array(log_w) - logsumexp(log_w))
+        got = posterior_mixture(task, i)
+        np.testing.assert_allclose(got.weights, weights, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(got.means, np.array(means), rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(got.covs, np.array(covs), rtol=1e-10, atol=1e-10)
+        if kind == "gmm_likelihood":
+            single = joint_posterior_mixture(dataclasses.replace(task, observations=obs[i : i + 1]))
+            np.testing.assert_allclose(single.weights, got.weights, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(single.means, got.means, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(single.covs, got.covs, rtol=1e-10, atol=1e-10)

@@ -14,13 +14,11 @@ from annealed_langevin import (
     choose_steps,
     gaussian_proxy,
     gaussian_task,
-    gaussian_w2,
     global_bound,
     gmm_prior_task,
     plan,
     posterior_moments,
     prior_dist,
-    proxy_compose,
 )
 from conftest import make_gaussian_task
 
@@ -164,16 +162,6 @@ def test_gaussian_proxy_mixture_prior_matches_moments():
     assert isinstance(prox, GaussianDist)
     assert prox.mean == pytest.approx(mean, abs=1e-14)
     assert prox.cov == pytest.approx(cov, abs=1e-14)
-
-
-def test_proxy_compose_wraps_failures():
-    prior = GaussianDist(np.zeros(1), np.array([[0.01]]))
-    posts = [GaussianDist(np.zeros(1), np.eye(1))] * 2
-    with pytest.raises(TuningError, match="proxy composition failed"):
-        proxy_compose(prior, posts)
-    # the n=1 composition never fails: prior weight vanishes
-    single = proxy_compose(prior, [GaussianDist(np.ones(1), np.eye(1) * 2.0)])
-    assert gaussian_w2(single, GaussianDist(np.ones(1), np.eye(1) * 2.0)) < 1e-12
 
 
 def test_global_bound_matches_hand_rolled_recursion(sched):
