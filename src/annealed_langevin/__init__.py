@@ -13,7 +13,6 @@ from .composite import (
     CompositeSpec,
     compose_dsm_error,
     composite_field,
-    diffuse_covariance,
     geffner_score,
     lambda_matrix,
     linhart_score,
@@ -28,6 +27,7 @@ from .tasks import (
     GaussianMixture,
     Task,
     exact_posterior_sample,
+    gaussian_proxies,
     gaussian_task,
     gmm_likelihood_task,
     gmm_prior_task,
@@ -57,7 +57,6 @@ from .tuner import (
     bias_term,
     choose_step,
     choose_steps,
-    gaussian_proxy,
     global_bound,
     plan,
 )
@@ -82,6 +81,7 @@ __all__ = [
     "simulate_observations",
     "posterior_mixture",
     "posterior_moments",
+    "gaussian_proxies",
     "joint_posterior_mixture",
     "exact_posterior_sample",
     "prior_score",
@@ -90,7 +90,6 @@ __all__ = [
     "posterior_log_density",
     "CompositeSpec",
     "spec_for_task",
-    "diffuse_covariance",
     "lambda_matrix",
     "geffner_score",
     "linhart_score",
@@ -110,7 +109,6 @@ __all__ = [
     "choose_steps",
     "bias_term",
     "global_bound",
-    "gaussian_proxy",
     "plan",
     "DivergenceError",
     "SampleSet",

@@ -26,8 +26,10 @@ from .metrics import empirical_w2
 from .sampler import DivergenceError, SampleSet, annealed_sample
 from .schedule import Schedule
 from .tasks import (
+    _COMPONENT_CAP,
     KINDS,
     Task,
+    _check_component_cap,
     exact_posterior_sample,
     gaussian_task,
     gmm_likelihood_task,
@@ -294,6 +296,12 @@ def _run_cell(
 ) -> dict:
     record: dict = {"n": task.n, "seed": seed, "method": method, "status": "ok", "error": ""}
     timing: dict[str, float] = {}
+    record["_timings"] = timing
+    try:
+        _check_component_cap(task, _COMPONENT_CAP)  # decided by the config: fail before tuning
+    except ValueError as exc:
+        record.update(status="error", error=f"reference: {exc}")
+        return record
     start = time.perf_counter()
     try:
         level_plan = plan(task, method, tuning, sched)
@@ -309,7 +317,7 @@ def _run_cell(
         start = time.perf_counter()
         try:
             exact = reference()
-        except ValueError as exc:  # e.g. too many joint components; not a config error
+        except ValueError as exc:  # the joint mixture cannot be built; not a config error
             record.update(status="error", error=f"reference: {exc}")
         else:
             record["final_w2"] = empirical_w2(samples, exact).value
@@ -321,7 +329,6 @@ def _run_cell(
         record.update(status="error", error=f"divergence: {exc}")
     except np.linalg.LinAlgError as exc:
         record.update(status="error", error=f"numerical: {exc}")
-    record["_timings"] = timing
     return record
 
 

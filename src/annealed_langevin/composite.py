@@ -23,14 +23,14 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .schedule import Schedule, alpha as schedule_alpha
 from .tasks import (
-    GaussianMixture,
     ScoreField,
     Task,
     _as_spd,
     _conjugate_update,
     _diffuse_stacked,
     _mixture_scores,
-    posterior_moments,
+    _spd_inverse,
+    gaussian_proxies,
     prior_dist,
 )
 
@@ -38,7 +38,6 @@ __all__ = [
     "METHODS",
     "CompositeSpec",
     "spec_for_task",
-    "diffuse_covariance",
     "lambda_matrix",
     "geffner_score",
     "linhart_score",
@@ -88,19 +87,10 @@ class CompositeSpec:
 
 def spec_for_task(task: Task, method: str, s: Schedule) -> CompositeSpec:
     """Build a CompositeSpec with exact moment-matched covariances as proxies."""
-    post_covs = np.array([posterior_moments(task, i)[1] for i in range(task.n)])
-    prior = prior_dist(task)
-    prior_cov = prior.moments()[1] if isinstance(prior, GaussianMixture) else prior.cov
+    prior, _, post_covs = gaussian_proxies(task)
     return CompositeSpec(
-        method=method, n=task.n, post_covs=post_covs, prior_cov=prior_cov, sched=s
+        method=method, n=task.n, post_covs=post_covs, prior_cov=prior.cov, sched=s
     )
-
-
-def diffuse_covariance(cov: np.ndarray, t: float, s: Schedule) -> np.ndarray:
-    """Covariance of the time-t diffused distribution: alpha_t * cov + v_t * I."""
-    cov = _as_spd(cov, "cov")
-    a = schedule_alpha(s, t)
-    return a * cov + (1.0 - a) * np.eye(cov.shape[0])
 
 
 def _level_weights(spec: CompositeSpec, t: float):
@@ -115,17 +105,9 @@ def _level_weights(spec: CompositeSpec, t: float):
     noise = 1.0 - a
     if noise <= 0:
         raise ValueError("backward-kernel weights need t > 0")
-    d = spec.prior_cov.shape[0]
-    shrink = (a / noise) * np.eye(d)
-    eye = np.eye(d)
-    post_prec = np.empty_like(spec.post_covs)
-    for i in range(spec.n):
-        factor = cho_factor(spec.post_covs[i], lower=True)
-        prec = cho_solve(factor, eye)
-        post_prec[i] = 0.5 * (prec + prec.T) + shrink
-    factor = cho_factor(spec.prior_cov, lower=True)
-    prior_prec = cho_solve(factor, eye)
-    prior_prec = 0.5 * (prior_prec + prior_prec.T) + shrink
+    shrink = (a / noise) * np.eye(spec.prior_cov.shape[0])
+    post_prec = _spd_inverse(spec.post_covs, "post_covs") + shrink
+    prior_prec = _spd_inverse(spec.prior_cov, "prior_cov") + shrink
     lam = post_prec.sum(axis=0) + (1 - spec.n) * prior_prec
     try:
         lam_factor = cho_factor(lam, lower=True)

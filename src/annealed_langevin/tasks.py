@@ -43,6 +43,7 @@ __all__ = [
     "posterior_log_density",
     "posterior_mixture",
     "posterior_moments",
+    "gaussian_proxies",
     "joint_posterior_mixture",
     "exact_posterior_sample",
 ]
@@ -53,6 +54,7 @@ KINDS = ("gaussian", "gmm_prior", "gmm_likelihood")
 ScoreField = Callable[[np.ndarray, float], np.ndarray]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_COMPONENT_CAP = 4096  # largest joint posterior the exact reference enumerates
 
 
 def _as_spd(cov: np.ndarray, name: str) -> np.ndarray:
@@ -66,6 +68,30 @@ def _as_spd(cov: np.ndarray, name: str) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"{name} must be positive definite") from exc
     return cov
+
+
+def _spd_inverse(mats: np.ndarray, label: str) -> np.ndarray:
+    """Inverse of one SPD matrix (d, d) or of a stack (..., d, d), symmetrized."""
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{label} is not positive definite") from exc
+    inv = np.linalg.inv(mats)
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+
+
+def _moments(
+    weights: np.ndarray, means: np.ndarray, covs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moment-matched (means (n, d), covariances (n, d, d)) of n mixtures sharing covs.
+
+    weights: (n, K), means: (n, K, d), covs: (K, d, d); law of total covariance.
+    """
+    mean = np.einsum("nk,nkd->nd", weights, means)
+    centered = means - mean[:, None, :]
+    cov = np.einsum("nk,kij->nij", weights, covs)
+    cov = cov + np.einsum("nk,nki,nkj->nij", weights, centered, centered)
+    return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -138,11 +164,8 @@ class GaussianMixture:
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Moment-matched (mean, covariance) by the law of total covariance."""
-        mean = self.weights @ self.means
-        centered = self.means - mean
-        cov = np.einsum("k,kij->ij", self.weights, self.covs)
-        cov = cov + np.einsum("k,ki,kj->ij", self.weights, centered, centered)
-        return mean, 0.5 * (cov + cov.T)
+        mean, cov = _moments(self.weights[None, :], self.means[None, :, :], self.covs)
+        return mean[0], cov[0]
 
     def _params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.log(self.weights)[None, :], self.means[None, :, :], self.covs
@@ -385,7 +408,30 @@ def posterior_moments(
     return mean, cov, mixture
 
 
-def joint_posterior_mixture(task: Task, component_cap: int = 4096) -> GaussianMixture:
+def gaussian_proxies(task: Task) -> tuple[GaussianDist, np.ndarray, np.ndarray]:
+    """Moment-matched Gaussians of the prior and of every single-observation posterior.
+
+    Returns the prior proxy and the posterior proxies' means (n, d) and
+    covariances (n, d, d). On the gaussian kind they are the exact densities.
+    """
+    prior = prior_dist(task)
+    if isinstance(prior, GaussianMixture):
+        prior = GaussianDist(*prior.moments())
+    log_w, means, covs = _conjugate_update(task, task.observations, 1)
+    return (prior, *_moments(np.exp(log_w), means, covs))
+
+
+def _check_component_cap(task: Task, component_cap: int) -> None:
+    """Refuse a joint posterior of more than component_cap components (K^n for gmm_likelihood)."""
+    if task.kind == "gmm_likelihood":
+        total = task.likelihood_weights.size**task.n
+        if total > component_cap:
+            raise ValueError(
+                f"joint posterior needs {total} components, above the cap {component_cap}"
+            )
+
+
+def joint_posterior_mixture(task: Task, component_cap: int = _COMPONENT_CAP) -> GaussianMixture:
     """Exact finite-mixture form of p(theta | x_{1:n}).
 
     gaussian: one component. gmm_prior: one component per prior component
@@ -395,6 +441,7 @@ def joint_posterior_mixture(task: Task, component_cap: int = 4096) -> GaussianMi
     """
     if task.n < 1:
         raise ValueError("need at least one observation")
+    _check_component_cap(task, component_cap)
     n = task.n
     if task.kind != "gmm_likelihood":
         # prod_i N(x_i; theta, Sigma) is proportional to N(x_bar; theta, Sigma / n)
@@ -407,10 +454,6 @@ def joint_posterior_mixture(task: Task, component_cap: int = 4096) -> GaussianMi
     # gmm_likelihood: enumerate component assignments
     K = task.likelihood_weights.size
     total = K**n
-    if total > component_cap:
-        raise ValueError(
-            f"joint posterior needs {total} components, above the cap {component_cap}"
-        )
     precisions = np.empty((K, d, d))
     logdets = np.empty(K)
     for k in range(K):
@@ -447,7 +490,7 @@ def joint_posterior_mixture(task: Task, component_cap: int = 4096) -> GaussianMi
 
 
 def exact_posterior_sample(
-    task: Task, count: int, seed: int, component_cap: int = 4096
+    task: Task, count: int, seed: int, component_cap: int = _COMPONENT_CAP
 ) -> SampleSet:
     """I.i.d. ground-truth draws from p(theta | x_{1:n}), reproducible per seed."""
     if count < 1:

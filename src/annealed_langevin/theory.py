@@ -1,23 +1,23 @@
 """Closed-form Gaussian bridging distributions and their Langevin-relevant constants.
 
-Provides exact bridging moments for the gaussian task kind, Gaussian-proxy
-bridges for everything else, the exact scalar log-concavity/smoothness
-constants of the Gaussian bridges and their geffner-minus-linhart gap, and
-the analytic 2-Wasserstein distance between Gaussians.
+Builds every bridging Gaussian from moment-matched proxies composed by one
+precision rule (exact on the gaussian task kind), and provides the exact
+scalar log-concavity/smoothness constants of the Gaussian bridges, their
+geffner-minus-linhart gap, and the analytic 2-Wasserstein distance between
+Gaussians.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import eigh
 
-from .composite import _check_method, diffuse_covariance
+from .composite import _check_method
 from .schedule import Schedule, alpha as schedule_alpha, v as schedule_v
-from .tasks import GaussianDist, Task
+from .tasks import GaussianDist, Task, _spd_inverse, gaussian_proxies
 
 __all__ = [
     "BridgingConstants",
@@ -50,117 +50,65 @@ class BridgingConstants:
             raise ValueError("log-concavity constant cannot exceed smoothness constant")
 
 
-def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
-
-
-def _spd_inverse(mat: np.ndarray, label: str) -> np.ndarray:
-    try:
-        factor = cho_factor(mat, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{label} is not positive definite") from exc
-    return _symmetrize(cho_solve(factor, np.eye(mat.shape[0])))
-
-
 def bridging_moments(task: Task, method: str, t: float, s: Schedule) -> GaussianDist:
     """Exact mean/covariance of the level-t bridging density for a gaussian task.
 
     linhart bridges are the diffused multi-observation posterior; geffner
     bridges are the precision-reweighted product of diffused individual
-    posteriors against the diffused prior.
+    posteriors against the diffused prior. Both are proxy_bridge over the
+    task's proxies, which are exact on this kind.
     """
     _check_method(method)
     if task.kind != "gaussian":
         raise NotImplementedError("analytic bridging moments require the gaussian task kind")
-    if task.n < 1:
-        raise ValueError("need at least one observation")
-    n, d = task.n, task.dim
-    sigma = task.likelihood_cov
-    eye = np.eye(d)
-    a = schedule_alpha(s, t)
-    v = 1.0 - a
-    x_sum = task.observations.sum(axis=0)
-    if method == "linhart":
-        post_n = np.linalg.solve(n * eye + sigma, sigma)  # (n*inv(Sigma)+I)^{-1}
-        cov = a * post_n + v * eye
-        mean = math.sqrt(a) * np.linalg.solve(n * eye + sigma, x_sum)
-        return GaussianDist(mean=mean, cov=_symmetrize(cov))
-    post_1 = np.linalg.solve(eye + sigma, sigma)  # single-observation posterior cov
-    diffused = a * post_1 + v * eye
-    precision = (1 - n) * eye + n * _spd_inverse(diffused, "diffused posterior covariance")
-    cov = _spd_inverse(precision, "bridge precision")
-    lifted = np.linalg.solve(diffused, np.linalg.solve(eye + sigma, x_sum))
-    mean = math.sqrt(a) * cov @ lifted
-    return GaussianDist(mean=mean, cov=cov)
+    return proxy_bridge(*gaussian_proxies(task), method, t, s)
 
 
 def compose_gaussians(
-    prior_proxy: GaussianDist, post_proxies: Sequence[GaussianDist]
+    prior_proxy: GaussianDist, post_means: np.ndarray, post_covs: np.ndarray
 ) -> GaussianDist:
     """Gaussian with precision sum(P_i) + (1-n)*P_prior and the matching mean.
 
     This is the product-of-Gaussians normalization of prior^(1-n) * prod_i
-    posterior_i; a non-positive-definite composed precision is an error.
+    posterior_i, for posterior means (n, d) and covariances (n, d, d); a
+    non-positive-definite composed precision is an error.
     """
-    n = len(post_proxies)
+    n, d = len(post_means), prior_proxy.dim
     if n < 1:
         raise ValueError("need at least one posterior proxy")
-    d = prior_proxy.dim
-    if any(p.dim != d for p in post_proxies):
+    if post_means.shape != (n, d) or post_covs.shape != (n, d, d):
         raise ValueError("proxy dimensions disagree")
-    prior_prec = _spd_inverse(prior_proxy.cov, "prior proxy covariance")
-    precision = (1 - n) * prior_prec
-    rhs = (1 - n) * prior_prec @ prior_proxy.mean
-    for proxy in post_proxies:
-        prec = _spd_inverse(proxy.cov, "posterior proxy covariance")
-        precision += prec
-        rhs += prec @ proxy.mean
-    try:
-        factor = cho_factor(precision, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("composed precision is not positive definite") from exc
-    cov = _symmetrize(cho_solve(factor, np.eye(d)))
-    return GaussianDist(mean=cho_solve(factor, rhs), cov=cov)
+    means = np.concatenate([prior_proxy.mean[None, :], post_means])
+    covs = np.concatenate([prior_proxy.cov[None, :, :], post_covs])
+    precs = _spd_inverse(covs, "proxy covariance")
+    weights = np.concatenate([[1.0 - n], np.ones(n)])
+    precision = np.einsum("k,kij->ij", weights, precs)
+    rhs = np.einsum("k,kij,kj->i", weights, precs, means)
+    cov = _spd_inverse(precision, "composed precision")
+    return GaussianDist(mean=cov @ rhs, cov=cov)
 
 
 def proxy_bridge(
     prior_proxy: GaussianDist,
-    post_proxies: Sequence[GaussianDist],
+    post_means: np.ndarray,
+    post_covs: np.ndarray,
     method: str,
     t: float,
     s: Schedule,
 ) -> GaussianDist:
-    """Level-t bridging Gaussian built from moment-matched proxies.
+    """Level-t bridging Gaussian built from moment-matched proxies (see gaussian_proxies).
 
-    geffner reweights the diffused proxies at level t; linhart composes the
+    geffner composes the proxies diffused to level t; linhart composes the
     time-0 proxies first and diffuses the result.
     """
     _check_method(method)
-    n = len(post_proxies)
-    if n < 1:
-        raise ValueError("need at least one posterior proxy")
-    d = prior_proxy.dim
-    if any(p.dim != d for p in post_proxies):
-        raise ValueError("proxy dimensions disagree")
     a = schedule_alpha(s, t)
+    root_a, noise = math.sqrt(a), (1.0 - a) * np.eye(prior_proxy.dim)
     if method == "linhart":
-        composed = compose_gaussians(prior_proxy, post_proxies)
-        cov = a * composed.cov + (1.0 - a) * np.eye(d)
-        return GaussianDist(mean=math.sqrt(a) * composed.mean, cov=_symmetrize(cov))
-    root_a = math.sqrt(a)
-    prior_prec = _spd_inverse(diffuse_covariance(prior_proxy.cov, t, s), "diffused prior proxy")
-    precision = (1 - n) * prior_prec
-    rhs = (1 - n) * prior_prec @ (root_a * prior_proxy.mean)
-    for proxy in post_proxies:
-        prec = _spd_inverse(diffuse_covariance(proxy.cov, t, s), "diffused posterior proxy")
-        precision += prec
-        rhs += prec @ (root_a * proxy.mean)
-    try:
-        factor = cho_factor(precision, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"bridge precision is not positive definite at t={t:g}") from exc
-    cov = _symmetrize(cho_solve(factor, np.eye(d)))
-    return GaussianDist(mean=cho_solve(factor, rhs), cov=cov)
+        composed = compose_gaussians(prior_proxy, post_means, post_covs)
+        return GaussianDist(mean=root_a * composed.mean, cov=a * composed.cov + noise)
+    prior_t = GaussianDist(mean=root_a * prior_proxy.mean, cov=a * prior_proxy.cov + noise)
+    return compose_gaussians(prior_t, root_a * post_means, a * post_covs + noise)
 
 
 def gaussian_constants(

@@ -3,8 +3,8 @@
 Given two-sided Hessian constants (m, M) of each bridging density and the
 distance between consecutive bridges, the rule picks the largest step size
 whose bias term stays below omega*gamma and the smallest step count that
-contracts the remaining error below (1-omega)*gamma. Non-gaussian tasks go
-through moment-matched Gaussian proxies.
+contracts the remaining error below (1-omega)*gamma. Every task kind goes
+through moment-matched Gaussian proxies, which are exact on the gaussian kind.
 """
 
 from __future__ import annotations
@@ -16,14 +16,9 @@ import numpy as np
 
 from .composite import _check_method
 from .schedule import Schedule, levels
-from .tasks import GaussianDist, GaussianMixture, Task, posterior_moments, prior_dist
-from .theory import (
-    BridgingConstants,
-    bridging_moments,
-    gaussian_constants,
-    gaussian_w2,
-    proxy_bridge,
-)
+from .tasks import GaussianDist, Task, gaussian_proxies
+from .theory import bridging_moments  # noqa: F401  (perfbench/worker.py looks it up here)
+from .theory import gaussian_w2, proxy_bridge
 
 __all__ = [
     "TuningError",
@@ -33,7 +28,6 @@ __all__ = [
     "choose_steps",
     "bias_term",
     "global_bound",
-    "gaussian_proxy",
     "plan",
 ]
 
@@ -195,18 +189,6 @@ def global_bound(plan_: LevelPlan) -> float:
     return float(np.sum(through * plan_.w2_next + plan_.B * before))
 
 
-def gaussian_proxy(task: Task, i: int | None = None) -> GaussianDist:
-    """Moment-matched Gaussian of one posterior (i) or of the prior (i=None)."""
-    if i is None:
-        prior = prior_dist(task)
-        if isinstance(prior, GaussianMixture):
-            mean, cov = prior.moments()
-            return GaussianDist(mean=mean, cov=cov)
-        return prior
-    mean, cov, _ = posterior_moments(task, i)
-    return GaussianDist(mean=mean, cov=cov)
-
-
 def plan(task: Task, method: str, cfg: TuningConfig, s: Schedule) -> LevelPlan:
     """Tune all levels up front: bridging moments, constants, distances, then (h, k).
 
@@ -218,36 +200,15 @@ def plan(task: Task, method: str, cfg: TuningConfig, s: Schedule) -> LevelPlan:
         raise ValueError("need at least one observation")
     times = levels(s, cfg.T)
     d = task.dim
-    proxy_flag = task.kind != "gaussian"
+    proxies = gaussian_proxies(task)
     bridges: list[GaussianDist] = []
-    consts: list[BridgingConstants] = []
-    if not proxy_flag:
-        eigs = np.linalg.eigvalsh(task.likelihood_cov)
-        smin, smax = float(eigs[0]), float(eigs[-1])
-        for p, t_p in enumerate(times):
-            try:
-                bridges.append(bridging_moments(task, method, float(t_p), s))
-            except ValueError as exc:
-                raise TuningError(f"level {p} (t={t_p:g}): {exc}") from exc
-        consts = [
-            gaussian_constants(smin, smax, task.n, float(t_p), method, s)
-            for t_p in times[:-1]
-        ]
-    else:
-        prior_proxy = gaussian_proxy(task, None)
-        post_proxies = [gaussian_proxy(task, i) for i in range(task.n)]
-        for p, t_p in enumerate(times):
-            try:
-                bridges.append(proxy_bridge(prior_proxy, post_proxies, method, float(t_p), s))
-            except ValueError as exc:
-                raise TuningError(f"level {p} (t={t_p:g}): {exc}") from exc
-        for t_p, bridge in zip(times[:-1], bridges[:-1]):
-            eigs = np.linalg.eigvalsh(bridge.cov)
-            consts.append(
-                BridgingConstants(
-                    t=float(t_p), m=1.0 / float(eigs[-1]), M=1.0 / float(eigs[0]), method=method
-                )
-            )
+    for p, t_p in enumerate(times):
+        try:
+            bridges.append(proxy_bridge(*proxies, method, float(t_p), s))
+        except ValueError as exc:
+            raise TuningError(f"level {p} (t={t_p:g}): {exc}") from exc
+    eigs = np.linalg.eigvalsh(np.array([bridge.cov for bridge in bridges[:-1]]))
+    m, M = 1.0 / eigs[:, -1], 1.0 / eigs[:, 0]
     T = cfg.T
     w2_next = np.array([gaussian_w2(bridges[p + 1], bridges[p]) for p in range(T)])
     h = np.empty(T)
@@ -255,11 +216,11 @@ def plan(task: Task, method: str, cfg: TuningConfig, s: Schedule) -> LevelPlan:
     bias = np.empty(T)
     for p in range(T):
         try:
-            h[p] = choose_step(consts[p].m, consts[p].M, cfg, d)
-            k[p] = choose_steps(consts[p].m, h[p], float(w2_next[p]), cfg)
+            h[p] = choose_step(m[p], M[p], cfg, d)
+            k[p] = choose_steps(m[p], h[p], float(w2_next[p]), cfg)
         except TuningError as exc:
             raise TuningError(f"level {p} (t={times[p]:g}): {exc}") from exc
-        bias[p] = bias_term(consts[p].m, consts[p].M, h[p], d, cfg.eps_dsm)
+        bias[p] = bias_term(m[p], M[p], h[p], d, cfg.eps_dsm)
     return LevelPlan(
         method=method,
         dim=d,
@@ -268,9 +229,9 @@ def plan(task: Task, method: str, cfg: TuningConfig, s: Schedule) -> LevelPlan:
         t=np.asarray(times[:-1], dtype=float),
         h=h,
         k=k,
-        m=np.array([c.m for c in consts]),
-        M=np.array([c.M for c in consts]),
+        m=m,
+        M=M,
         w2_next=w2_next,
         B=bias,
-        proxy=proxy_flag,
+        proxy=task.kind != "gaussian",
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from annealed_langevin import DivergenceError, cli
 from annealed_langevin.cli import build_task, main, resolve_config
 
 BASE = {
@@ -248,9 +249,10 @@ def test_sweep_isolates_failing_cells(tmp_path, capsys):
     for row in cells:
         if row["n"] == "2":
             assert row["status"] == "ok" and float(row["final_w2"]) >= 0.0
-        else:
+        else:  # refused before tuning, so no Langevin steps were run
             assert row["status"] == "error" and row["error"].startswith("reference:")
             assert "8192 components" in row["error"]
+            assert row["total_steps"] == ""
     assert len(_read_csv(out / "sweep_summary.csv")) == 4
     assert len(json.loads((out / "sweep.json").read_text())["results"]["cells"]) == 4
     # a bad tuning target is still a config error, caught before any cell runs
@@ -262,8 +264,36 @@ def test_sweep_isolates_failing_cells(tmp_path, capsys):
     assert not (bad_out / "sweep_cells.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "target, exc, prefix",
+    [
+        ("annealed_sample", DivergenceError("chain left the box", 0.5, 3), "divergence:"),
+        ("composite_field", np.linalg.LinAlgError("lambda matrix is indefinite"), "numerical:"),
+    ],
+    ids=["divergence", "numerical"],
+)
+def test_sweep_records_sampling_failures(tmp_path, monkeypatch, target, exc, prefix):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, fail)
+    cfg = {
+        "task": {"kind": "gaussian", "dim": 2, "n": [2, 3]},
+        "sampling": {"chains": 50, "seed": 0},
+    }
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 1
+    cells = _read_csv(out / "sweep_cells.csv")
+    assert len(cells) == 4
+    for row in cells:
+        assert row["status"] == "error" and row["error"] == f"{prefix} {exc}"
+    assert all(row["failures"] == "1" for row in _read_csv(out / "sweep_summary.csv"))
+    assert len(json.loads((out / "sweep.json").read_text())["results"]["cells"]) == 4
+
+
 def test_reference_built_once_per_cell_pair(tmp_path, monkeypatch):
-    from annealed_langevin import SampleSet, cli, empirical_w2, exact_posterior_sample
+    from annealed_langevin import SampleSet, empirical_w2, exact_posterior_sample
 
     calls = []
 

@@ -9,7 +9,6 @@ from annealed_langevin import (
     alpha,
     compose_dsm_error,
     composite_field,
-    diffuse_covariance,
     gaussian_task,
     geffner_score,
     gmm_prior_task,
@@ -30,19 +29,6 @@ def _joint_diffused_score(task, theta, t, s):
     a = alpha(s, t)
     diffused = GaussianDist(np.sqrt(a) * mean, a * cov + (1.0 - a) * np.eye(task.dim))
     return diffused.score(theta)
-
-
-def test_diffuse_covariance_formula(sched):
-    cov = np.diag([2.0, 0.5])
-    t = 0.5
-    a = alpha(sched, t)
-    out = diffuse_covariance(cov, t, sched)
-    assert out == pytest.approx(a * cov + (1 - a) * np.eye(2), rel=1e-14)
-
-
-def test_diffuse_covariance_rejects_non_spd(sched):
-    with pytest.raises(ValueError):
-        diffuse_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.5, sched)
 
 
 def test_spec_validation(sched):

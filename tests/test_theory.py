@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import sqrtm
 
 from annealed_langevin import (
     BridgingConstants,
     GaussianDist,
+    Schedule,
     alpha,
     bridging_moments,
     compose_gaussians,
@@ -75,30 +78,48 @@ def test_unweighted_lower_constant_at_least_one(sched):
                 assert gef.m >= 1.0 - 1e-12
 
 
-def test_bridging_moments_against_independent_formulas(sched):
-    rng = np.random.default_rng(5)
-    d, n = 2, 4
-    cov = rand_spd(rng, d, 0.3, 1.5)
-    obs = rng.standard_normal((n, d))
-    task = gaussian_task(cov, obs)
+def _independent_bridge(task, method, t, s):
+    """(mean, cov) of a gaussian task's level-t bridge from explicit inverses."""
+    n, d = task.n, task.dim
     eye = np.eye(d)
-    for t in (0.1, 0.5, 0.9):
-        a = alpha(sched, t)
-        v_t = 1.0 - a
-        # weighted method: diffuse the exact joint posterior
-        joint_cov = np.linalg.inv(eye + n * np.linalg.inv(cov))
-        joint_mean = joint_cov @ np.linalg.inv(cov) @ obs.sum(axis=0)
-        lin = bridging_moments(task, "linhart", t, sched)
-        assert lin.mean == pytest.approx(np.sqrt(a) * joint_mean, abs=1e-12)
-        assert lin.cov == pytest.approx(a * joint_cov + v_t * eye, abs=1e-12)
-        # unweighted method: reweighted product of diffused per-observation posteriors
-        post_cov = np.linalg.inv(eye + np.linalg.inv(cov))
-        diffused = a * post_cov + v_t * eye
-        prec = (1 - n) * eye + n * np.linalg.inv(diffused)
-        rhs = np.linalg.inv(diffused) @ (np.sqrt(a) * post_cov @ np.linalg.inv(cov) @ obs.T)
-        gef = bridging_moments(task, "geffner", t, sched)
-        assert gef.cov == pytest.approx(np.linalg.inv(prec), abs=1e-12)
-        assert gef.mean == pytest.approx(np.linalg.solve(prec, rhs.sum(axis=1)), abs=1e-12)
+    a = alpha(s, t)
+    like_prec = np.linalg.inv(task.likelihood_cov)
+    x_sum = task.observations.sum(axis=0)
+    if method == "linhart":
+        # diffuse the exact joint posterior
+        joint_cov = np.linalg.inv(eye + n * like_prec)
+        return np.sqrt(a) * joint_cov @ like_prec @ x_sum, a * joint_cov + (1.0 - a) * eye
+    # reweighted product of diffused per-observation posteriors against the
+    # standard normal prior, which diffuses to itself
+    post_cov = np.linalg.inv(eye + like_prec)
+    diffused_prec = np.linalg.inv(a * post_cov + (1.0 - a) * eye)
+    prec = (1 - n) * eye + n * diffused_prec
+    rhs = diffused_prec @ (np.sqrt(a) * post_cov @ like_prec @ x_sum)
+    return np.linalg.solve(prec, rhs), np.linalg.inv(prec)
+
+
+def _assert_bridge_matches(got, task, method, t, s):
+    mean, cov = _independent_bridge(task, method, t, s)
+    np.testing.assert_allclose(got.cov, cov, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(got.mean, mean, rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    n=st.integers(1, 50),
+    log10_cond=st.floats(0.0, 3.0),
+    t=st.floats(Schedule().t_floor, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bridging_moments_against_independent_formulas(sched, d, n, log10_cond, t, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    eigs = 10.0 ** (rng.uniform(-1.5, 0.0) + log10_cond * np.linspace(0.0, 1.0, d))
+    cov = (q * eigs) @ q.T
+    task = gaussian_task(0.5 * (cov + cov.T), 2.0 * rng.standard_normal((n, d)))
+    for method in ("geffner", "linhart"):
+        _assert_bridge_matches(bridging_moments(task, method, t, sched), task, method, t, sched)
 
 
 def test_unweighted_bridge_precision_eigenvalues_at_least_one(sched):
@@ -116,28 +137,27 @@ def test_proxy_bridge_reproduces_exact_gaussian_bridges(method, sched):
     rng = np.random.default_rng(7)
     task = gaussian_task(rand_spd(rng, 2, 0.2, 1.2), rng.standard_normal((5, 2)))
     prior = GaussianDist(np.zeros(2), np.eye(2))
-    posts = [GaussianDist(*posterior_moments(task, i)[:2]) for i in range(task.n)]
+    moments = [posterior_moments(task, i) for i in range(task.n)]
+    means = np.array([mean for mean, _, _ in moments])
+    covs = np.array([cov for _, cov, _ in moments])
     for t in (1e-5, 0.4, 1.0):
-        via_proxy = proxy_bridge(prior, posts, method, t, sched)
-        exact = bridging_moments(task, method, t, sched)
-        assert gaussian_w2(via_proxy, exact) < 1e-10
+        via_proxy = proxy_bridge(prior, means, covs, method, t, sched)
+        _assert_bridge_matches(via_proxy, task, method, t, sched)
 
 
 def test_compose_gaussians_precision_arithmetic():
     # two unit-variance posteriors and a variance-2 prior in 1-D:
     # precision 1 + 1 - 1/2 = 3/2, mean = cov * (sum of precision-weighted means)
     prior = GaussianDist(np.zeros(1), np.array([[2.0]]))
-    posts = [GaussianDist(np.array([1.0]), np.eye(1)), GaussianDist(np.array([3.0]), np.eye(1))]
-    out = compose_gaussians(prior, posts)
+    out = compose_gaussians(prior, np.array([[1.0], [3.0]]), np.ones((2, 1, 1)))
     assert out.cov == pytest.approx(np.array([[2.0 / 3.0]]), abs=1e-14)
     assert out.mean == pytest.approx([8.0 / 3.0], abs=1e-14)
 
 
 def test_compose_gaussians_rejects_indefinite():
     prior = GaussianDist(np.zeros(1), np.array([[0.01]]))  # dominant negative weight
-    posts = [GaussianDist(np.zeros(1), np.eye(1)), GaussianDist(np.zeros(1), np.eye(1))]
     with pytest.raises(ValueError, match="not positive definite"):
-        compose_gaussians(prior, posts)
+        compose_gaussians(prior, np.zeros((2, 1)), np.ones((2, 1, 1)))
 
 
 def test_gaussian_w2_oracles():

@@ -12,7 +12,8 @@ from annealed_langevin import (
     bias_term,
     choose_step,
     choose_steps,
-    gaussian_proxy,
+    gaussian_constants,
+    gaussian_proxies,
     gaussian_task,
     global_bound,
     gmm_prior_task,
@@ -20,7 +21,7 @@ from annealed_langevin import (
     posterior_moments,
     prior_dist,
 )
-from conftest import make_gaussian_task
+from conftest import make_gaussian_task, rand_spd
 
 CFG = TuningConfig(gamma=0.5, omega=0.5)
 
@@ -143,13 +144,14 @@ def test_plan_mixture_prior_uses_proxies(method, sched):
 
 def test_gaussian_proxy_moments():
     task = gaussian_task(np.eye(2) * 0.5, np.array([[1.0, 0.0], [0.0, 1.0]]))
-    prior = gaussian_proxy(task)
+    prior, means, covs = gaussian_proxies(task)
     assert prior.mean == pytest.approx(np.zeros(2), abs=0.0)
     assert prior.cov == pytest.approx(np.eye(2), abs=0.0)
-    mean, cov, _ = posterior_moments(task, 1)
-    prox = gaussian_proxy(task, 1)
-    assert prox.mean == pytest.approx(mean, abs=0.0)
-    assert prox.cov == pytest.approx(cov, abs=0.0)
+    assert means.shape == (2, 2) and covs.shape == (2, 2, 2)
+    for i in range(task.n):
+        mean, cov, _ = posterior_moments(task, i)
+        assert means[i] == pytest.approx(mean, abs=0.0)
+        assert covs[i] == pytest.approx(cov, abs=0.0)
 
 
 def test_gaussian_proxy_mixture_prior_matches_moments():
@@ -158,10 +160,32 @@ def test_gaussian_proxy_mixture_prior_matches_moments():
     prior = prior_dist(task)
     assert isinstance(prior, GaussianMixture)
     mean, cov = prior.moments()
-    prox = gaussian_proxy(task)
+    prox, means, covs = gaussian_proxies(task)
     assert isinstance(prox, GaussianDist)
     assert prox.mean == pytest.approx(mean, abs=1e-14)
     assert prox.cov == pytest.approx(cov, abs=1e-14)
+    # the posterior proxies are the moments of the two-component posteriors
+    for i in range(task.n):
+        mean, cov, mixture = posterior_moments(task, i)
+        assert mixture.component_count == 2
+        assert means[i] == pytest.approx(mean, abs=1e-14)
+        assert covs[i] == pytest.approx(cov, abs=1e-14)
+
+
+@pytest.mark.parametrize("method", ["geffner", "linhart"])
+def test_plan_constants_match_gaussian_closed_form(method, sched):
+    # on the gaussian kind the proxy bridges are exact, so the plan's (m, M)
+    # are the closed-form constants at the likelihood's extreme eigenvalues
+    rng = np.random.default_rng(11)
+    for d, n in ((1, 1), (2, 5), (3, 30), (6, 12), (10, 50)):
+        cov = rand_spd(rng, d, 0.02, 20.0)
+        task = gaussian_task(cov, rng.standard_normal((n, d)))
+        lp = plan(task, method, CFG, sched)
+        eigs = np.linalg.eigvalsh(cov)
+        for p, t in enumerate(lp.t):
+            ref = gaussian_constants(eigs[0], eigs[-1], n, float(t), method, sched)
+            assert lp.m[p] == pytest.approx(ref.m, rel=1e-10)
+            assert lp.M[p] == pytest.approx(ref.M, rel=1e-10)
 
 
 def test_global_bound_matches_hand_rolled_recursion(sched):
