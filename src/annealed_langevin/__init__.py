@@ -14,7 +14,6 @@ from .composite import (
     compose_dsm_error,
     composite_field,
     geffner_score,
-    lambda_matrix,
     linhart_score,
     spec_for_task,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "posterior_log_density",
     "CompositeSpec",
     "spec_for_task",
-    "lambda_matrix",
     "geffner_score",
     "linhart_score",
     "compose_dsm_error",

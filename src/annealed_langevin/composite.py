@@ -15,7 +15,7 @@ diffused multi-observation posterior exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,9 +26,11 @@ from .tasks import (
     ScoreField,
     Task,
     _as_spd,
+    _compose_rule,
     _conjugate_update,
     _diffuse_stacked,
     _mixture_scores,
+    _proxies,
     _spd_inverse,
     gaussian_proxies,
     prior_dist,
@@ -38,7 +40,6 @@ __all__ = [
     "METHODS",
     "CompositeSpec",
     "spec_for_task",
-    "lambda_matrix",
     "geffner_score",
     "linhart_score",
     "compose_dsm_error",
@@ -58,9 +59,8 @@ def _check_method(method: str) -> str:
 class CompositeSpec:
     """Aggregation method plus the covariance proxies the linhart weights need.
 
-    post_covs and prior_cov are time-0 covariances; the time-t weight
-    matrices are the backward-kernel covariances they induce, with precision
-    C^{-1} + (alpha_t/v_t) I (SPD for every t in (0, 1]).
+    The time-0 covariances are inverted once, here, to P_prior and P_i, and
+    composed to P_c = sum_i P_i + (1-n) P_prior; no level needs an inverse.
     """
 
     method: str
@@ -68,59 +68,46 @@ class CompositeSpec:
     post_covs: np.ndarray  # (n, d, d)
     prior_cov: np.ndarray  # (d, d)
     sched: Schedule
+    precs: np.ndarray = field(init=False, repr=False)  # (n+1, d, d): P_prior, then each P_i
+    composed_prec: np.ndarray = field(init=False, repr=False)  # P_c (d, d)
 
     def __post_init__(self) -> None:
         _check_method(self.method)
         if self.n < 1:
             raise ValueError("need at least one observation")
-        post = np.asarray(self.post_covs, dtype=float)
+        post = _as_spd(self.post_covs, "post_covs")
         if post.ndim != 3 or post.shape[0] != self.n:
             raise ValueError("post_covs must be (n, d, d)")
-        for i in range(self.n):
-            _as_spd(post[i], f"post_covs[{i}]")
         prior = _as_spd(self.prior_cov, "prior_cov")
         if prior.shape != post.shape[1:]:
             raise ValueError("prior_cov dimension disagrees with post_covs")
+        precs = _spd_inverse(np.concatenate([prior[None, :, :], post]), "proxy covariance")
         object.__setattr__(self, "post_covs", post)
         object.__setattr__(self, "prior_cov", prior)
+        object.__setattr__(self, "precs", precs)
+        object.__setattr__(self, "composed_prec", _compose_rule(precs[0], precs[1:]))
 
 
 def spec_for_task(task: Task, method: str, s: Schedule) -> CompositeSpec:
     """Build a CompositeSpec with exact moment-matched covariances as proxies."""
     prior, _, post_covs = gaussian_proxies(task)
-    return CompositeSpec(
-        method=method, n=task.n, post_covs=post_covs, prior_cov=prior.cov, sched=s
-    )
+    return CompositeSpec(method, task.n, post_covs, prior.cov, s)
 
 
 def _level_weights(spec: CompositeSpec, t: float):
-    """Linhart weights at level t: (post_prec, prior_prec, Lambda_t, Cholesky factor of Lambda_t).
-
-    The precisions are the backward-kernel ones, C^{-1} + (alpha_t/v_t) I, of
-    every proxy, and Lambda_t = sum_i Sigma_{t,i}^{-1} + (1-n) Sigma_{t,lambda}^{-1}.
-    Singular or indefinite Lambda_t surfaces as a linear-algebra error; no
-    regularization is applied.
-    """
+    """Linhart weights at level t: the precisions P + (alpha_t/v_t) I, prior first, and the
+    Cholesky factor of Lambda_t = P_c + (alpha_t/v_t) I, which is both the check and the solve
+    (an indefinite Lambda_t is a linear-algebra error; nothing is regularized)."""
     a = schedule_alpha(spec.sched, t)
     noise = 1.0 - a
     if noise <= 0:
         raise ValueError("backward-kernel weights need t > 0")
     shrink = (a / noise) * np.eye(spec.prior_cov.shape[0])
-    post_prec = _spd_inverse(spec.post_covs, "post_covs") + shrink
-    prior_prec = _spd_inverse(spec.prior_cov, "prior_cov") + shrink
-    lam = post_prec.sum(axis=0) + (1 - spec.n) * prior_prec
     try:
-        lam_factor = cho_factor(lam, lower=True)
+        lam_factor = cho_factor(spec.composed_prec + shrink, lower=True)
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"lambda matrix is not positive definite at t={t:g}"
-        ) from exc
-    return post_prec, prior_prec, lam, lam_factor
-
-
-def lambda_matrix(spec: CompositeSpec, t: float) -> np.ndarray:
-    """Lambda_t = sum_i Sigma_{t,i}^{-1} + (1-n) Sigma_{t,lambda}^{-1}; must be SPD."""
-    return _level_weights(spec, t)[2]
+        raise np.linalg.LinAlgError(f"lambda matrix is not positive definite at t={t:g}") from exc
+    return spec.precs + shrink, lam_factor
 
 
 def _aggregate(
@@ -130,12 +117,10 @@ def _aggregate(
 
     weights is _level_weights' output for linhart and unused by geffner.
     """
-    n = post_scores.shape[0]
     if method == "geffner":
-        return (1 - n) * prior_score + post_scores.sum(axis=0)
-    post_prec, prior_prec, _, lam_factor = weights
-    inner = np.einsum("nij,nkj->ki", post_prec, post_scores)
-    inner += (1 - n) * (prior_score @ prior_prec)
+        return _compose_rule(prior_score, post_scores)
+    precs, lam_factor = weights  # symmetric, so score @ P weighs each score row by P
+    inner = _compose_rule(prior_score @ precs[0], post_scores @ precs[1:])
     return cho_solve(lam_factor, inner.T).T
 
 
@@ -222,14 +207,17 @@ def composite_field(task: Task, method: str, s: Schedule):
         raise ValueError("need at least one observation")
     base_post = _conjugate_update(task, task.observations, 1)
     base_prior = prior_dist(task)._params() if task.kind == "gmm_prior" else None
-    spec = spec_for_task(task, method, s) if method == "linhart" else None
+    spec = None
+    if method == "linhart":  # proxies from the same conjugate update as the mixtures
+        prior, _, post_covs = _proxies(task, base_post)
+        spec = CompositeSpec(method, task.n, post_covs, prior.cov, s)
 
     def factory(level_index: int, t: float) -> ScoreField:
         post_params = _diffuse_stacked(*base_post, t, s)
         prior_params = None if base_prior is None else _diffuse_stacked(*base_prior, t, s)
         weights = None if spec is None else _level_weights(spec, t)
 
-        def field(theta: np.ndarray, t_arg: float) -> np.ndarray:
+        def score_field(theta: np.ndarray, t_arg: float) -> np.ndarray:
             scores, _ = _mixture_scores(*post_params, theta)  # (n, N, d)
             if prior_params is None:
                 pscore = -theta  # the standard normal prior diffuses to itself
@@ -238,7 +226,7 @@ def composite_field(task: Task, method: str, s: Schedule):
             return _aggregate(method, pscore, scores, weights)
 
         if task.kind == "gaussian":
-            return _affine_probe(field, t, task.dim)
-        return field
+            return _affine_probe(score_field, t, task.dim)
+        return score_field
 
     return factory

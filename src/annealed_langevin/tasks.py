@@ -58,26 +58,37 @@ _COMPONENT_CAP = 4096  # largest joint posterior the exact reference enumerates
 
 
 def _as_spd(cov: np.ndarray, name: str) -> np.ndarray:
+    """cov as floats, checked to be SPD: one matrix (d, d), or each of a stack (..., d, d)."""
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2]:
         raise ValueError(f"{name} must be a square matrix")
-    if not np.allclose(cov, cov.T, rtol=1e-10, atol=1e-12):
-        raise ValueError(f"{name} must be symmetric")
+    symmetric = np.isclose(cov, np.swapaxes(cov, -1, -2), rtol=1e-10, atol=1e-12).all((-2, -1))
     try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{name} must be positive definite") from exc
+        if symmetric.all():
+            np.linalg.cholesky(cov)
+            return cov
+    except np.linalg.LinAlgError:
+        pass
+    for idx in np.ndindex(cov.shape[:-2]):  # a check failed: name the first failing matrix
+        where = name + "".join(f"[{i}]" for i in idx)
+        if not symmetric[idx]:
+            raise ValueError(f"{where} is not symmetric")
+        try:
+            np.linalg.cholesky(cov[idx])
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"{where} is not positive definite") from exc
     return cov
 
 
 def _spd_inverse(mats: np.ndarray, label: str) -> np.ndarray:
-    """Inverse of one SPD matrix (d, d) or of a stack (..., d, d), symmetrized."""
-    try:
-        np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{label} is not positive definite") from exc
-    inv = np.linalg.inv(mats)
+    """Inverse of one SPD matrix (d, d) or of a stack (..., d, d), checked and symmetrized."""
+    inv = np.linalg.inv(_as_spd(mats, label))
     return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+
+
+def _compose_rule(prior_term: np.ndarray, post_terms: np.ndarray) -> np.ndarray:
+    """The rule of prior^(1-n) * prod_i posterior_i: sum_i post_terms[i] + (1-n) prior_term."""
+    return post_terms.sum(axis=0) + (1 - len(post_terms)) * prior_term
 
 
 def _moments(
@@ -106,7 +117,7 @@ class GaussianDist:
         if mean.ndim != 1:
             raise ValueError("mean must be a vector")
         cov = _as_spd(self.cov, "cov")
-        if cov.shape[0] != mean.size:
+        if cov.shape != (mean.size, mean.size):
             raise ValueError("mean and cov dimensions disagree")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -148,8 +159,7 @@ class GaussianMixture:
             raise ValueError("component counts disagree")
         if np.any(w < 0.0) or not math.isclose(float(w.sum()), 1.0, rel_tol=0, abs_tol=1e-9):
             raise ValueError("mixture weights must be nonnegative and sum to 1")
-        for k in range(covs.shape[0]):
-            _as_spd(covs[k], f"covs[{k}]")
+        _as_spd(covs, "covs")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
@@ -209,7 +219,7 @@ class Task:
         if obs.ndim != 2 or obs.shape[1] != self.dim:
             raise ValueError("observations must be an (n, dim) matrix")
         cov = _as_spd(self.likelihood_cov, "likelihood_cov")
-        if cov.shape[0] != self.dim:
+        if cov.shape != (self.dim, self.dim):
             raise ValueError("likelihood_cov dimension disagrees with dim")
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "likelihood_cov", cov)
@@ -414,10 +424,15 @@ def gaussian_proxies(task: Task) -> tuple[GaussianDist, np.ndarray, np.ndarray]:
     Returns the prior proxy and the posterior proxies' means (n, d) and
     covariances (n, d, d). On the gaussian kind they are the exact densities.
     """
+    return _proxies(task, _conjugate_update(task, task.observations, 1))
+
+
+def _proxies(task: Task, update) -> tuple[GaussianDist, np.ndarray, np.ndarray]:
+    """gaussian_proxies from the posteriors' _conjugate_update output (the caller's)."""
     prior = prior_dist(task)
     if isinstance(prior, GaussianMixture):
         prior = GaussianDist(*prior.moments())
-    log_w, means, covs = _conjugate_update(task, task.observations, 1)
+    log_w, means, covs = update
     return (prior, *_moments(np.exp(log_w), means, covs))
 
 

@@ -17,7 +17,7 @@ from scipy.linalg import eigh
 
 from .composite import _check_method
 from .schedule import Schedule, alpha as schedule_alpha, v as schedule_v
-from .tasks import GaussianDist, Task, _spd_inverse, gaussian_proxies
+from .tasks import GaussianDist, Task, _compose_rule, _spd_inverse, gaussian_proxies
 
 __all__ = [
     "BridgingConstants",
@@ -58,10 +58,21 @@ def bridging_moments(task: Task, method: str, t: float, s: Schedule) -> Gaussian
     posteriors against the diffused prior. Both are proxy_bridge over the
     task's proxies, which are exact on this kind.
     """
-    _check_method(method)
     if task.kind != "gaussian":
         raise NotImplementedError("analytic bridging moments require the gaussian task kind")
-    return proxy_bridge(*gaussian_proxies(task), method, t, s)
+    return proxy_bridge(*gaussian_proxies(task), method, [t], s)[0]
+
+
+def _composed(prior_mean, prior_cov, post_means, post_covs) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, cov) of prior^(1-n) * prod_i posterior_i for post_means (n, ..., d) and post_covs
+    (n, ..., d, d); "..." are batch axes (geffner's times), which the prior broadcasts against."""
+    n, d = len(post_means), prior_mean.shape[-1]
+    if n < 1 or len(post_covs) != n or post_means.shape[-1] != d or post_covs.shape[-2:] != (d, d):
+        raise ValueError("need one or more posterior proxies of the prior's dimension")
+    precs = _spd_inverse(np.concatenate([prior_cov[None], post_covs]), "proxy covariance")
+    weighted = np.einsum("...ij,...j->...i", precs, np.concatenate([prior_mean[None], post_means]))
+    cov = _spd_inverse(_compose_rule(precs[0], precs[1:]), "composed precision")
+    return np.einsum("...ij,...j->...i", cov, _compose_rule(weighted[0], weighted[1:])), cov
 
 
 def compose_gaussians(
@@ -73,19 +84,7 @@ def compose_gaussians(
     posterior_i, for posterior means (n, d) and covariances (n, d, d); a
     non-positive-definite composed precision is an error.
     """
-    n, d = len(post_means), prior_proxy.dim
-    if n < 1:
-        raise ValueError("need at least one posterior proxy")
-    if post_means.shape != (n, d) or post_covs.shape != (n, d, d):
-        raise ValueError("proxy dimensions disagree")
-    means = np.concatenate([prior_proxy.mean[None, :], post_means])
-    covs = np.concatenate([prior_proxy.cov[None, :, :], post_covs])
-    precs = _spd_inverse(covs, "proxy covariance")
-    weights = np.concatenate([[1.0 - n], np.ones(n)])
-    precision = np.einsum("k,kij->ij", weights, precs)
-    rhs = np.einsum("k,kij,kj->i", weights, precs, means)
-    cov = _spd_inverse(precision, "composed precision")
-    return GaussianDist(mean=cov @ rhs, cov=cov)
+    return GaussianDist(*_composed(prior_proxy.mean, prior_proxy.cov, post_means, post_covs))
 
 
 def proxy_bridge(
@@ -93,22 +92,23 @@ def proxy_bridge(
     post_means: np.ndarray,
     post_covs: np.ndarray,
     method: str,
-    t: float,
+    times: np.ndarray | list[float],
     s: Schedule,
-) -> GaussianDist:
-    """Level-t bridging Gaussian built from moment-matched proxies (see gaussian_proxies).
+) -> list[GaussianDist]:
+    """Bridging Gaussians at each of the times, from moment-matched proxies (see gaussian_proxies).
 
-    geffner composes the proxies diffused to level t; linhart composes the
-    time-0 proxies first and diffuses the result.
-    """
+    linhart diffuses the time-0 composition to each time; geffner composes the proxies diffused
+    to each time, all in one batch, and a failed composition names the index of its time."""
     _check_method(method)
-    a = schedule_alpha(s, t)
-    root_a, noise = math.sqrt(a), (1.0 - a) * np.eye(prior_proxy.dim)
+    a = np.atleast_1d(schedule_alpha(s, times))[:, None, None]  # (times, 1, 1)
+    root_a, noise = np.sqrt(a[:, 0]), (1.0 - a) * np.eye(prior_proxy.dim)
     if method == "linhart":
         composed = compose_gaussians(prior_proxy, post_means, post_covs)
-        return GaussianDist(mean=root_a * composed.mean, cov=a * composed.cov + noise)
-    prior_t = GaussianDist(mean=root_a * prior_proxy.mean, cov=a * prior_proxy.cov + noise)
-    return compose_gaussians(prior_t, root_a * post_means, a * post_covs + noise)
+        means, covs = root_a * composed.mean, a * composed.cov + noise
+    else:
+        posts = (root_a * post_means[:, None], a * post_covs[:, None] + noise)
+        means, covs = _composed(root_a * prior_proxy.mean, a * prior_proxy.cov + noise, *posts)
+    return [GaussianDist(mean=mean, cov=cov) for mean, cov in zip(means, covs)]
 
 
 def gaussian_constants(

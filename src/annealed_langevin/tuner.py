@@ -16,7 +16,7 @@ import numpy as np
 
 from .composite import _check_method
 from .schedule import Schedule, levels
-from .tasks import GaussianDist, Task, gaussian_proxies
+from .tasks import Task, gaussian_proxies
 from .theory import bridging_moments  # noqa: F401  (perfbench/worker.py looks it up here)
 from .theory import gaussian_w2, proxy_bridge
 
@@ -193,20 +193,18 @@ def plan(task: Task, method: str, cfg: TuningConfig, s: Schedule) -> LevelPlan:
     """Tune all levels up front: bridging moments, constants, distances, then (h, k).
 
     Levels are reported in ascending t; sampling consumes them from the top
-    down. Failures carry the offending level index.
+    down. Failures carry the offending level index, except a linhart
+    composition failure, which happens once, before any level.
     """
     _check_method(method)
     if task.n < 1:
         raise ValueError("need at least one observation")
     times = levels(s, cfg.T)
     d = task.dim
-    proxies = gaussian_proxies(task)
-    bridges: list[GaussianDist] = []
-    for p, t_p in enumerate(times):
-        try:
-            bridges.append(proxy_bridge(*proxies, method, float(t_p), s))
-        except ValueError as exc:
-            raise TuningError(f"level {p} (t={t_p:g}): {exc}") from exc
+    try:
+        bridges = proxy_bridge(*gaussian_proxies(task), method, times, s)
+    except ValueError as exc:
+        raise TuningError(f"bridging densities: {exc}") from exc
     eigs = np.linalg.eigvalsh(np.array([bridge.cov for bridge in bridges[:-1]]))
     m, M = 1.0 / eigs[:, -1], 1.0 / eigs[:, 0]
     T = cfg.T

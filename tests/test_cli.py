@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annealed_langevin import DivergenceError, cli
+from annealed_langevin import DivergenceError, TuningError, cli, plan
 from annealed_langevin.cli import build_task, main, resolve_config
 
 BASE = {
@@ -162,6 +162,39 @@ def test_sample_outputs_and_determinism(tmp_path):
         assert set(block["samples_files"]) == {f"samples_{method}.npy", f"samples_{method}.csv"}
         assert set(report["timings"][method]) == {"tune_s", "sample_s", "evaluate_s"}
     assert report["results"]["seed"] == 0 and report["results"]["n"] == 3
+
+
+def test_sample_indefinite_composition_is_a_tuning_failure(tmp_path, sched):
+    # this task's composed proxy precision has a negative eigenvalue (about
+    # -5.4 at time 0, and geffner's levels 0-2 are indefinite too): both
+    # methods fail to tune, a failed cell (exit 1), not a config error (exit 2)
+    cfg = {
+        "task": {
+            "kind": "gmm_prior",
+            "dim": 4,
+            "n": 42,
+            "data_seed": 2997,
+            "likelihood": {
+                "random_spd": {"eig_range": [0.04146958098005517, 24.97923687580033]}
+            },
+        },
+        "sampling": {"chains": 64, "seed": 2997},
+    }
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "run"
+    assert main(["sample", "--config", path, "--out", str(out)]) == 1
+    methods = json.loads((out / "sample.json").read_text())["results"]["methods"]
+    resolved = resolve_config(cfg)
+    task = build_task(resolved, 42, 2997)
+    for method in ("geffner", "linhart"):
+        block = methods[method]
+        assert block["status"] == "error" and block["error"].startswith("tuning:")
+        assert "not positive definite" in block["error"]
+        if method == "geffner":  # geffner composes per level and names the level's index
+            assert "composed precision[0]" in block["error"]
+        assert block.get("total_steps", "") == ""
+        with pytest.raises(TuningError):
+            plan(task, method, cli._tuning_config(resolved, 42, method), sched)
 
 
 def test_sample_rejects_n_list(tmp_path, capsys):

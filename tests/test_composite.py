@@ -5,6 +5,7 @@ import pytest
 
 from annealed_langevin import (
     CompositeSpec,
+    GaussianMixture,
     Schedule,
     alpha,
     compose_dsm_error,
@@ -13,12 +14,13 @@ from annealed_langevin import (
     geffner_score,
     gmm_prior_task,
     individual_posterior_score,
-    lambda_matrix,
+    levels,
     linhart_score,
     posterior_moments,
     prior_score,
     spec_for_task,
 )
+from annealed_langevin import composite, tasks
 from annealed_langevin.tasks import GaussianDist
 from conftest import rand_spd
 
@@ -44,12 +46,14 @@ def test_spec_validation(sched):
 def test_weight_matrices_need_positive_time(sched):
     task = gaussian_task(np.eye(2) * 0.5, np.zeros((2, 2)))
     spec = spec_for_task(task, "linhart", sched)
+    posts = [lambda th, t: -th] * task.n
     with pytest.raises(ValueError, match="t > 0"):
-        lambda_matrix(spec, 0.0)
+        linhart_score(spec, lambda th, t: -th, posts, np.zeros((1, 2)), 0.0)
 
 
-def test_lambda_matrix_identity_design(sched):
-    # when every proxy has covariance v/(v - alpha) I the mixing matrix is I
+def test_linhart_score_identity_design(sched):
+    # when every proxy has covariance v/(v - alpha) I, every backward-kernel
+    # precision and Lambda_t are I, so linhart is the unnormalised weighted sum
     t = 0.5
     a = alpha(sched, t)
     v_t = 1.0 - a
@@ -58,17 +62,60 @@ def test_lambda_matrix_identity_design(sched):
     spec = CompositeSpec(
         "linhart", n, np.tile(c * np.eye(2), (n, 1, 1)), c * np.eye(2), sched
     )
-    assert lambda_matrix(spec, t) == pytest.approx(np.eye(2), abs=1e-12)
+    theta = np.random.default_rng(3).standard_normal((5, 2))
+    prior = lambda th, t: -th
+    posts = [lambda th, t, i=i: (i + 1.0) * th for i in range(n)]
+    expected = (1 - n) * (-theta) + (1 + 2 + 3 + 4) * theta
+    assert linhart_score(spec, prior, posts, theta, t) == pytest.approx(expected, abs=1e-12)
 
 
-def test_lambda_matrix_rejects_indefinite(sched):
-    # huge prior precision with (1 - n) < 0 drives the combination indefinite
+def test_linhart_score_rejects_indefinite(sched):
+    # huge prior precision with (1 - n) < 0 drives Lambda_t indefinite
     n = 3
     spec = CompositeSpec(
         "linhart", n, np.tile(np.eye(2) * 10.0, (n, 1, 1)), np.eye(2) * 1e-4, sched
     )
+    posts = [lambda th, t: -th] * n
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        lambda_matrix(spec, 0.9)
+        linhart_score(spec, lambda th, t: -th, posts, np.zeros((1, 2)), 0.9)
+
+
+@pytest.mark.parametrize("flaw", ["asymmetric", "indefinite"])
+def test_stacked_covariance_checks_reach_the_last_matrix(flaw, sched):
+    covs = np.tile(np.eye(2), (4, 1, 1))
+    covs[-1] = [[1.0, 0.5], [0.0, 1.0]] if flaw == "asymmetric" else [[1.0, 2.0], [2.0, 1.0]]
+    message = "symmetric" if flaw == "asymmetric" else "positive definite"
+    with pytest.raises(ValueError, match=rf"covs\[3\] is not {message}"):
+        GaussianMixture(np.full(4, 0.25), np.zeros((4, 2)), covs)
+    with pytest.raises(ValueError, match=rf"post_covs\[3\] is not {message}"):
+        CompositeSpec("linhart", 4, covs, np.eye(2), sched)
+
+
+@pytest.mark.parametrize("method", ["geffner", "linhart"])
+@pytest.mark.parametrize("kind", ["gaussian", "gmm_prior"])
+def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
+    # one conjugate update feeds both the field's mixtures and the linhart
+    # proxies, and the time-0 proxy covariances are inverted once, not per level
+    rng = np.random.default_rng(5)
+    make = gaussian_task if kind == "gaussian" else gmm_prior_task
+    task = make(rand_spd(rng, 2, 0.2, 1.0), rng.standard_normal((6, 2)))
+    calls = {"update": 0, "inverse": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    update = counted("update", tasks._conjugate_update)
+    monkeypatch.setattr(tasks, "_conjugate_update", update)
+    monkeypatch.setattr(composite, "_conjugate_update", update)
+    monkeypatch.setattr(composite, "_spd_inverse", counted("inverse", composite._spd_inverse))
+    factory = composite_field(task, method, sched)
+    for p, t in enumerate(levels(sched, 10)[:-1]):
+        factory(p, float(t))(rng.standard_normal((3, 2)), float(t))
+    assert calls == {"update": 1, "inverse": 1 if method == "linhart" else 0}
 
 
 def test_gaussian_consistency_linhart_equals_joint(sched):

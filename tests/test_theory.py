@@ -140,8 +140,10 @@ def test_proxy_bridge_reproduces_exact_gaussian_bridges(method, sched):
     moments = [posterior_moments(task, i) for i in range(task.n)]
     means = np.array([mean for mean, _, _ in moments])
     covs = np.array([cov for _, cov, _ in moments])
-    for t in (1e-5, 0.4, 1.0):
-        via_proxy = proxy_bridge(prior, means, covs, method, t, sched)
+    times = (1e-5, 0.4, 1.0)
+    bridges = proxy_bridge(prior, means, covs, method, times, sched)
+    assert len(bridges) == len(times)
+    for t, via_proxy in zip(times, bridges):
         _assert_bridge_matches(via_proxy, task, method, t, sched)
 
 

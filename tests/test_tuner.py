@@ -21,6 +21,7 @@ from annealed_langevin import (
     posterior_moments,
     prior_dist,
 )
+from annealed_langevin import theory
 from conftest import make_gaussian_task, rand_spd
 
 CFG = TuningConfig(gamma=0.5, omega=0.5)
@@ -140,6 +141,21 @@ def test_plan_mixture_prior_uses_proxies(method, sched):
     lp = plan(task, method, CFG, sched)
     assert lp.proxy
     assert lp.total_steps >= lp.T
+
+
+def test_linhart_plan_composes_the_proxies_once(sched, monkeypatch):
+    # linhart's bridges all diffuse one time-0 composition, whatever T is
+    calls = []
+    compose = theory.compose_gaussians
+
+    def counted(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(theory, "compose_gaussians", counted)
+    task = make_gaussian_task(seed=2, dim=10, n=30)
+    lp = plan(task, "linhart", TuningConfig(gamma=0.5, omega=0.5, T=10), sched)
+    assert lp.T == 10 and len(calls) == 1
 
 
 def test_gaussian_proxy_moments():
