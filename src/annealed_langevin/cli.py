@@ -15,7 +15,6 @@ import functools
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable
 
@@ -385,7 +384,8 @@ def _dump_points(out_dir: Path, name: str, points: np.ndarray, formats: list[str
     return written
 
 
-def cmd_sweep(cfg: dict, out_dir: Path, workers: int = 1) -> int:
+def cmd_sweep(cfg: dict, out_dir: Path) -> int:
+    """Run every (n, seed, method) cell in that order, one after another, in this thread."""
     n_value = cfg["task"]["n"]
     n_list = [int(v) for v in (n_value if isinstance(n_value, list) else [n_value])]
     if not n_list:
@@ -396,25 +396,16 @@ def cmd_sweep(cfg: dict, out_dir: Path, workers: int = 1) -> int:
     sched = _schedule(cfg)
     start_all = time.perf_counter()
 
-    def run_pair(pair: tuple[int, int]) -> list[dict]:
-        n, seed = pair
-        task = build_task(cfg, n, seed)  # shared by both methods within a cell
-        reference = _shared_reference(task, int(cfg["sampling"]["chains"]), seed)
-        records = []
-        for method in methods:
-            record = _run_cell(cfg, tunings[n, method], method, seed, task, sched, reference)
-            record.pop("_samples", None)
-            record.pop("_timings", None)
-            records.append(record)
-        return records
-
-    pairs = [(n, seed) for n in n_list for seed in seeds]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            record_lists = list(pool.map(run_pair, pairs))
-    else:
-        record_lists = [run_pair(pair) for pair in pairs]
-    records = [record for sub in record_lists for record in sub]
+    records = []
+    for n in n_list:
+        for seed in seeds:
+            task = build_task(cfg, n, seed)  # shared by both methods within a cell
+            reference = _shared_reference(task, int(cfg["sampling"]["chains"]), seed)
+            for method in methods:
+                record = _run_cell(cfg, tunings[n, method], method, seed, task, sched, reference)
+                record.pop("_samples", None)
+                record.pop("_timings", None)
+                records.append(record)
 
     cell_columns = [
         "n",
@@ -494,7 +485,9 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument(
             "--method", choices=[*METHODS, "both"], default=None, help="override method"
         )
-        cmd.add_argument("--workers", type=int, default=1, help="parallel sweep cells")
+        cmd.add_argument(  # cells are numpy-bound under the GIL: threads gave no speed-up
+            "--workers", type=int, default=1, help="accepted for old commands; has no effect"
+        )
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(
@@ -510,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_tune(cfg, out_dir)
         if args.command == "sample":
             return cmd_sample(cfg, out_dir)
-        return cmd_sweep(cfg, out_dir, workers=max(1, args.workers))
+        return cmd_sweep(cfg, out_dir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,7 @@ from .tasks import (
     _conjugate_update,
     _diffuse_stacked,
     _mixture_scores,
+    _prepare,
     _proxies,
     _spd_inverse,
     gaussian_proxies,
@@ -94,20 +95,27 @@ def spec_for_task(task: Task, method: str, s: Schedule) -> CompositeSpec:
     return CompositeSpec(method, task.n, post_covs, prior.cov, s)
 
 
-def _level_weights(spec: CompositeSpec, t: float):
-    """Linhart weights at level t: the precisions P + (alpha_t/v_t) I, prior first, and the
-    Cholesky factor of Lambda_t = P_c + (alpha_t/v_t) I, which is both the check and the solve
-    (an indefinite Lambda_t is a linear-algebra error; nothing is regularized)."""
+def _level_weights(spec: CompositeSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Linhart weights at level t, folded so the aggregation is one product.
+
+    With the backward-kernel precisions P_{t,i} = P_i + (alpha_t/v_t) I and
+    Lambda_t = P_c + (alpha_t/v_t) I, returns the prior's (1-n) P_{t,0}
+    Lambda_t^{-1} (d, d) and W_t = stack_i(P_{t,i} Lambda_t^{-1}) (n*d, d). The
+    Cholesky factor of Lambda_t is the check: an indefinite Lambda_t is a
+    linear-algebra error, and nothing is regularized.
+    """
     a = schedule_alpha(spec.sched, t)
     noise = 1.0 - a
     if noise <= 0:
         raise ValueError("backward-kernel weights need t > 0")
-    shrink = (a / noise) * np.eye(spec.prior_cov.shape[0])
+    d = spec.prior_cov.shape[0]
+    shrink = (a / noise) * np.eye(d)
     try:
         lam_factor = cho_factor(spec.composed_prec + shrink, lower=True)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"lambda matrix is not positive definite at t={t:g}") from exc
-    return spec.precs + shrink, lam_factor
+    weights = (spec.precs + shrink) @ cho_solve(lam_factor, np.eye(d))  # prior first
+    return (1 - spec.n) * weights[0], weights[1:].reshape(spec.n * d, d)
 
 
 def _aggregate(
@@ -119,9 +127,10 @@ def _aggregate(
     """
     if method == "geffner":
         return _compose_rule(prior_score, post_scores)
-    precs, lam_factor = weights  # symmetric, so score @ P weighs each score row by P
-    inner = _compose_rule(prior_score @ precs[0], post_scores @ precs[1:])
-    return cho_solve(lam_factor, inner.T).T
+    prior_weight, post_weight = weights  # P, Lambda symmetric: Lambda^-1 P s = (s' P Lambda^-1)'
+    n, N, d = post_scores.shape
+    stacked = np.swapaxes(post_scores, 1, 2).reshape(n * d, N)  # a view for kernel output
+    return prior_score @ prior_weight + (post_weight.T @ stacked).T
 
 
 def _compose(
@@ -198,8 +207,8 @@ def _affine_probe(field: Callable[[np.ndarray, float], np.ndarray], t: float, d:
 def composite_field(task: Task, method: str, s: Schedule):
     """Level-score factory for annealed sampling: (level_index, t) -> ScoreField.
 
-    Per level, mixture parameters and linhart weight factorizations are
-    precomputed once; the gaussian kind additionally collapses to an affine
+    Per level, the mixture kernels (_prepare) and the folded linhart weights
+    are set up once; the gaussian kind additionally collapses to an affine
     map so each Langevin step is a single matrix multiply.
     """
     _check_method(method)
@@ -213,16 +222,16 @@ def composite_field(task: Task, method: str, s: Schedule):
         spec = CompositeSpec(method, task.n, post_covs, prior.cov, s)
 
     def factory(level_index: int, t: float) -> ScoreField:
-        post_params = _diffuse_stacked(*base_post, t, s)
-        prior_params = None if base_prior is None else _diffuse_stacked(*base_prior, t, s)
+        post = _prepare(*_diffuse_stacked(*base_post, t, s))
+        prior = None if base_prior is None else _prepare(*_diffuse_stacked(*base_prior, t, s))
         weights = None if spec is None else _level_weights(spec, t)
 
         def score_field(theta: np.ndarray, t_arg: float) -> np.ndarray:
-            scores, _ = _mixture_scores(*post_params, theta)  # (n, N, d)
-            if prior_params is None:
+            scores, _ = _mixture_scores(post, theta)  # (n, N, d)
+            if prior is None:
                 pscore = -theta  # the standard normal prior diffuses to itself
             else:
-                pscore = _mixture_scores(*prior_params, theta)[0][0]
+                pscore = _mixture_scores(prior, theta)[0][0]
             return _aggregate(method, pscore, scores, weights)
 
         if task.kind == "gaussian":

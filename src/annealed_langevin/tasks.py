@@ -127,7 +127,7 @@ class GaussianDist:
         return self.mean.size
 
     def _params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """This distribution as a stack of one one-component mixture, for _mixture_scores."""
+        """This distribution as a stack of one one-component mixture, for _prepare."""
         return np.zeros((1, 1)), self.mean[None, None, :], self.cov[None, :, :]
 
     def log_pdf(self, theta: np.ndarray) -> np.ndarray:
@@ -536,33 +536,54 @@ def _diffuse_stacked(
     return log_w, np.sqrt(a) * means, a * covs + (1.0 - a) * np.eye(d)
 
 
-def _mixture_scores(
-    log_w: np.ndarray, means: np.ndarray, covs: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and log densities of n mixtures sharing component covariances.
+def _prepare(
+    log_w: np.ndarray, means: np.ndarray, covs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Set up n mixtures sharing component covariances once, for _mixture_scores.
 
-    log_w: (n, K), means: (n, K, d), covs: (K, d, d), theta: (N, d).
-    Returns (scores (n, N, d), log_pdf (n, N)).
+    log_w: (n, K), means: (n, K, d), covs: (K, d, d). One batched Cholesky (the
+    SPD check and the log-determinants) and one batched inverse give the
+    precisions P_k (K, d, d), the linear terms b_ik = P_k mu_ik stored
+    component-first (K, n, d), and the constants (K, n)
+    c_ik = log w_ik - mu_ik' P_k mu_ik / 2 - log det C_k / 2 - (d/2) log 2 pi.
     """
-    n, K = log_w.shape
-    N, d = theta.shape
-    eye = np.eye(d)
-    comp_logpdf = np.empty((K, n, N))
-    comp_score = np.empty((K, n, N, d))
-    for k in range(K):
-        factor = cho_factor(covs[k], lower=True)
-        logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
-        prec = cho_solve(factor, eye)
-        prec = 0.5 * (prec + prec.T)
-        delta = theta[None, :, :] - means[:, k, None, :]  # (n, N, d)
-        sol = delta @ prec
-        comp_logpdf[k] = -0.5 * (np.einsum("nad,nad->na", delta, sol) + logdet + d * _LOG_2PI)
-        comp_score[k] = -sol
-    logits = comp_logpdf + log_w.T[:, :, None]  # (K, n, N)
-    log_pdf = logsumexp(logits, axis=0)
-    resp = np.exp(logits - log_pdf[None, :, :])
-    scores = np.einsum("kna,knad->nad", resp, comp_score)
-    return scores, log_pdf
+    d = covs.shape[-1]
+    logdet = 2.0 * np.log(np.diagonal(np.linalg.cholesky(covs), axis1=-2, axis2=-1)).sum(-1)
+    precs = np.linalg.inv(covs)
+    precs = 0.5 * (precs + np.swapaxes(precs, -1, -2))
+    lin = np.einsum("kij,nkj->kni", precs, means)
+    quad = np.einsum("kni,nki->kn", lin, means)
+    return precs, lin, log_w.T - 0.5 * (quad + (logdet + d * _LOG_2PI)[:, None])
+
+
+def _mixture_scores(
+    prepared: tuple[np.ndarray, np.ndarray, np.ndarray], theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and log densities at theta (N, d) of the mixtures _prepare set up.
+
+    The logits (K, n, N) = b theta' - theta' P_k theta / 2 + c are shifted by
+    their maximum over the leading component axis before the softmax, so a
+    point far from every component still gets finite values. Returns
+    (scores (n, N, d), log_pdf (n, N)); the scores are a view of an (n, d, N)
+    array, so every reduction runs along the long chain axis.
+    """
+    precs, lin, const = prepared
+    theta_t = theta.T
+    prec_theta = precs @ theta_t  # (K, d, N)
+    logits = lin @ theta_t
+    logits -= 0.5 * (prec_theta * theta_t).sum(axis=1)[:, None, :]
+    logits += const[:, :, None]
+    top = logits.max(axis=0)
+    logits -= top
+    resp = np.exp(logits, out=logits)
+    total = resp.sum(axis=0)
+    resp /= total
+    scores = np.matmul(lin.transpose(1, 2, 0), resp.transpose(1, 0, 2))  # sum_k r_k b_k
+    term = np.empty_like(scores)
+    for k in range(len(precs)):
+        scores -= np.multiply(resp[k][:, None, :], prec_theta[k], out=term)
+    top += np.log(total, out=total)
+    return scores.transpose(0, 2, 1), top
 
 
 def _evaluate(
@@ -570,7 +591,7 @@ def _evaluate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score and log density at theta (..., d) of the first of the stacked mixtures."""
     theta = np.asarray(theta, dtype=float)
-    scores, log_pdf = _mixture_scores(*params, theta.reshape(-1, theta.shape[-1]))
+    scores, log_pdf = _mixture_scores(_prepare(*params), theta.reshape(-1, theta.shape[-1]))
     return scores[0].reshape(theta.shape), log_pdf[0].reshape(theta.shape[:-1])
 
 

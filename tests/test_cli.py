@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,35 @@ def test_sweep_grid_and_worker_independence(tmp_path):
     report = json.loads((out_1 / "sweep.json").read_text())
     assert len(report["results"]["cells"]) == 8
     assert report["timings"]["total_s"] > 0
+
+
+def test_sweep_runs_cells_in_order_in_one_thread(tmp_path, monkeypatch):
+    # --workers is accepted but has no effect: every cell is tuned from the
+    # calling thread, in (n, seed, method) order
+    seeds_of, calls = {}, []
+
+    def recording_build_task(cfg, n, seed):
+        task = build_task(cfg, n, seed)
+        seeds_of[id(task)] = seed
+        return task
+
+    def recording_plan(task, method, *args, **kwargs):
+        calls.append((threading.get_ident(), task.n, seeds_of[id(task)], method))
+        return plan(task, method, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_task", recording_build_task)
+    monkeypatch.setattr(cli, "plan", recording_plan)
+    cfg = {
+        "task": {"kind": "gaussian", "dim": 2, "n": [2, 3]},
+        "sampling": {"chains": 50, "seeds": [0, 1, 2]},
+    }
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "run"), "--workers", "2"]) == 0
+    assert {ident for ident, *_ in calls} == {threading.get_ident()}
+    methods = ("geffner", "linhart")
+    assert [cell for _, *cell in calls] == [
+        [n, seed, method] for n in (2, 3) for seed in (0, 1, 2) for method in methods
+    ]
 
 
 def test_sweep_single_seed_zero_std(tmp_path):

@@ -80,6 +80,30 @@ def test_linhart_score_rejects_indefinite(sched):
         linhart_score(spec, lambda th, t: -th, posts, np.zeros((1, 2)), 0.9)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_linhart_score_matches_solved_precision_weighting(seed, sched):
+    # the folded weight matrices give Lambda_t^{-1} (sum_i P_{t,i} s_i + (1-n) P_{t,0} s_0)
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    prior_cov = rand_spd(rng, d, 2.0, 5.0)  # weak prior precision keeps Lambda_t SPD
+    post_covs = np.array([rand_spd(rng, d, 0.05, 1.0) for _ in range(n)])
+    spec = CompositeSpec("linhart", n, post_covs, prior_cov, sched)
+    maps = rng.standard_normal((n + 1, d, d))
+    offsets = rng.standard_normal((n + 1, d))
+    fields = [lambda th, t, i=i: th @ maps[i] + offsets[i] for i in range(n + 1)]
+    theta = rng.standard_normal((7, d))
+    for t in (0.01, 0.3, 0.9):
+        a = alpha(sched, t)
+        shrink = a / (1.0 - a) * np.eye(d)
+        precs = [np.linalg.inv(c) + shrink for c in (prior_cov, *post_covs)]
+        lam = sum(precs[1:]) + (1 - n) * precs[0]
+        scores = [f(theta, t) for f in fields]
+        inner = sum(s @ p for s, p in zip(scores[1:], precs[1:])) + (1 - n) * scores[0] @ precs[0]
+        expected = np.linalg.solve(lam, inner.T).T
+        got = linhart_score(spec, fields[0], fields[1:], theta, t)
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+
+
 @pytest.mark.parametrize("flaw", ["asymmetric", "indefinite"])
 def test_stacked_covariance_checks_reach_the_last_matrix(flaw, sched):
     covs = np.tile(np.eye(2), (4, 1, 1))

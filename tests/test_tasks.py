@@ -28,6 +28,7 @@ from annealed_langevin import (
     prior_score,
     simulate_observations,
 )
+from annealed_langevin import tasks
 from conftest import fd_grad, t_for_v
 
 
@@ -256,3 +257,70 @@ def test_posterior_mixture_matches_precision_form_bayes(kind, d, n, log10_cond, 
             np.testing.assert_allclose(single.weights, got.weights, rtol=1e-10, atol=1e-10)
             np.testing.assert_allclose(single.means, got.means, rtol=1e-10, atol=1e-10)
             np.testing.assert_allclose(single.covs, got.covs, rtol=1e-10, atol=1e-10)
+
+
+def _mixture_reference(log_w, means, covs, theta):
+    """Scores (n, N, d) and log densities (n, N) of stacked mixtures, one component at a time."""
+    (n, K), d = log_w.shape, theta.shape[1]
+    logits = np.empty((K, n, len(theta)))
+    comp_scores = np.empty((K, n, len(theta), d))
+    for k in range(K):
+        logdet = np.linalg.slogdet(covs[k])[1]
+        for i in range(n):
+            delta = theta - means[i, k]
+            sol = np.linalg.solve(covs[k], delta.T).T
+            quad = np.sum(delta * sol, axis=1)
+            logits[k, i] = log_w[i, k] - 0.5 * (quad + logdet + d * np.log(2.0 * np.pi))
+            comp_scores[k, i] = -sol
+    log_pdf = logsumexp(logits, axis=0)
+    resp = np.exp(logits - log_pdf)
+    return np.einsum("kia,kiad->iad", resp, comp_scores), log_pdf, logits
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(1, 4),
+    n=st.integers(1, 6),
+    d=st.integers(1, 5),
+    log10_cond=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixture_kernel_matches_component_loop(K, n, d, log10_cond, seed):
+    rng = np.random.default_rng(seed)
+    covs = np.empty((K, d, d))
+    for k in range(K):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        spread = rng.permutation(np.linspace(0.0, 1.0, d))
+        eigs = 10.0 ** (rng.uniform(-1.5, 0.0) + log10_cond * spread)
+        covs[k] = 0.5 * ((q * eigs) @ q.T + ((q * eigs) @ q.T).T)
+    chols = np.linalg.cholesky(covs)
+    means = 2.0 * rng.standard_normal((n, K, d))
+    log_w = rng.standard_normal((n, K))
+    log_w -= logsumexp(log_w, axis=1, keepdims=True)
+    prepared = tasks._prepare(log_w, means, covs)
+
+    def within(radius, i, k, count):  # points at Mahalanobis distance radius from mean (i, k)
+        z = rng.standard_normal((count, d))
+        z *= (radius / np.linalg.norm(z, axis=1))[:, None]
+        return means[i, k] + z @ chols[k].T
+
+    near = np.concatenate(
+        [within(r, rng.integers(n), rng.integers(K), 1) for r in rng.uniform(0.0, 10.0, 24)]
+    )
+    # far tail: 40 sigma or more from every mean, where each component's density underflows
+    far = within(40.0, 0, 0, 4)
+    for _ in range(200):
+        offsets = far[:, None, None, :] - means[None]  # (N, n, K, d)
+        maha2 = np.einsum("aikd,kde,aike->aik", offsets, np.linalg.inv(covs), offsets)
+        if maha2.min() >= 1600.0:
+            break
+        far = means[0, 0] + 1.2 * (far - means[0, 0])
+    for theta in (near, far):
+        ref_scores, ref_log_pdf, logits = _mixture_reference(log_w, means, covs, theta)
+        scores, log_pdf = tasks._mixture_scores(prepared, theta)
+        assert scores.shape == (n, len(theta), d) and log_pdf.shape == (n, len(theta))
+        assert np.isfinite(scores).all() and np.isfinite(log_pdf).all()
+        np.testing.assert_allclose(log_pdf, ref_log_pdf, rtol=1e-9)
+        scale = np.abs(ref_scores).max()
+        np.testing.assert_allclose(scores, ref_scores, rtol=1e-9, atol=1e-9 * scale)
+    assert logits.max() < -745.0  # exp of every far-tail component log density is 0
