@@ -25,7 +25,6 @@ from .metrics import empirical_w2
 from .sampler import DivergenceError, SampleSet, annealed_sample
 from .schedule import Schedule
 from .tasks import (
-    _COMPONENT_CAP,
     KINDS,
     Task,
     _check_component_cap,
@@ -106,7 +105,7 @@ def resolve_config(
     if cfg["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {cfg['schema_version']!r}")
     if seed is not None:
-        cfg["sampling"]["seed"] = int(seed)
+        cfg["sampling"]["seed"] = seed
     if method is not None:
         cfg["method"] = method
     if out is not None:
@@ -121,10 +120,15 @@ def resolve_config(
         raise ValueError(f"unknown method {cfg['method']!r}")
     if task["prior"]["means"] is None:
         task["prior"]["means"] = [[0.0] * dim, [1.0] * dim]
-    if cfg["tuning"]["omega"] is None:
-        cfg["tuning"]["omega"] = 0.8 if dim >= 10 else 0.5
-    if cfg["sampling"]["seeds"] is not None:
-        cfg["sampling"]["seeds"] = [int(s) for s in cfg["sampling"]["seeds"]]
+    tune, sampling = cfg["tuning"], cfg["sampling"]
+    if tune["omega"] is None:
+        tune["omega"] = 0.8 if dim >= 10 else 0.5
+    for key in ("gamma", "omega", "eps_dsm_prior", "eps_dsm_post"):
+        tune[key] = float(tune[key])
+    tune["T"] = int(tune["T"])
+    sampling["chains"], sampling["seed"] = int(sampling["chains"]), int(sampling["seed"])
+    if sampling["seeds"] is not None:
+        sampling["seeds"] = [int(s) for s in sampling["seeds"]]
     return cfg
 
 
@@ -200,15 +204,8 @@ def _schedule(cfg: dict) -> Schedule:
 
 def _tuning_config(cfg: dict, n: int, method: str) -> TuningConfig:
     tune = cfg["tuning"]
-    eps = compose_dsm_error(
-        float(tune["eps_dsm_prior"]), float(tune["eps_dsm_post"]), n, method
-    )
-    return TuningConfig(
-        gamma=float(tune["gamma"]),
-        omega=float(tune["omega"]),
-        eps_dsm=eps,
-        T=int(tune["T"]),
-    )
+    eps = compose_dsm_error(tune["eps_dsm_prior"], tune["eps_dsm_post"], n, method)
+    return TuningConfig(gamma=tune["gamma"], omega=tune["omega"], eps_dsm=eps, T=tune["T"])
 
 
 def _require_int_n(cfg: dict, command: str) -> int:
@@ -245,7 +242,7 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_tune(cfg: dict, out_dir: Path) -> int:
     n = _require_int_n(cfg, "tune")
     sched = _schedule(cfg)
-    task = build_task(cfg, n, int(cfg["sampling"]["seed"]))
+    task = build_task(cfg, n, cfg["sampling"]["seed"])
     results: dict[str, dict] = {}
     timings: dict[str, float] = {}
     code = 0
@@ -297,7 +294,7 @@ def _run_cell(
     timing: dict[str, float] = {}
     record["_timings"] = timing
     try:
-        _check_component_cap(task, _COMPONENT_CAP)  # decided by the config: fail before tuning
+        _check_component_cap(task)  # decided by the config: fail before tuning
     except ValueError as exc:
         record.update(status="error", error=f"reference: {exc}")
         return record
@@ -310,7 +307,7 @@ def _run_cell(
         record["proxy"] = level_plan.proxy
         start = time.perf_counter()
         samples = annealed_sample(
-            level_plan, composite_field(task, method, sched), int(cfg["sampling"]["chains"]), seed
+            level_plan, composite_field(task, method, sched), cfg["sampling"]["chains"], seed
         )
         timing["sample_s"] = time.perf_counter() - start
         start = time.perf_counter()
@@ -333,11 +330,11 @@ def _run_cell(
 
 def cmd_sample(cfg: dict, out_dir: Path) -> int:
     n = _require_int_n(cfg, "sample")
-    seed = int(cfg["sampling"]["seed"])
+    seed = cfg["sampling"]["seed"]
     tunings = {method: _tuning_config(cfg, n, method) for method in _methods(cfg)}
     sched = _schedule(cfg)
     task = build_task(cfg, n, seed)
-    reference = _shared_reference(task, int(cfg["sampling"]["chains"]), seed)
+    reference = _shared_reference(task, cfg["sampling"]["chains"], seed)
     formats = list(cfg["output"]["formats"])
     results: dict[str, dict] = {}
     timings: dict[str, dict] = {}
@@ -390,7 +387,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     n_list = [int(v) for v in (n_value if isinstance(n_value, list) else [n_value])]
     if not n_list:
         raise ValueError("task.n list must be nonempty")
-    seeds = cfg["sampling"]["seeds"] or [int(cfg["sampling"]["seed"])]
+    seeds = cfg["sampling"]["seeds"] or [cfg["sampling"]["seed"]]
     methods = _methods(cfg)
     tunings = {(n, method): _tuning_config(cfg, n, method) for n in n_list for method in methods}
     sched = _schedule(cfg)
@@ -400,7 +397,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     for n in n_list:
         for seed in seeds:
             task = build_task(cfg, n, seed)  # shared by both methods within a cell
-            reference = _shared_reference(task, int(cfg["sampling"]["chains"]), seed)
+            reference = _shared_reference(task, cfg["sampling"]["chains"], seed)
             for method in methods:
                 record = _run_cell(cfg, tunings[n, method], method, seed, task, sched, reference)
                 record.pop("_samples", None)
@@ -493,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(
             load_config(args.config), seed=args.seed, method=args.method, out=args.out
         )
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:  # a wrongly typed value is a config error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(cfg["output"]["directory"])

@@ -14,7 +14,6 @@ form.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -189,13 +188,8 @@ class GaussianMixture:
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         choice = rng.choice(self.component_count, size=count, p=self.weights)
         z = rng.standard_normal((count, self.dim))
-        out = np.empty((count, self.dim))
-        for k in range(self.component_count):
-            mask = choice == k
-            if mask.any():
-                chol = np.linalg.cholesky(self.covs[k])
-                out[mask] = self.means[k] + z[mask] @ chol.T
-        return out
+        chols = np.linalg.cholesky(self.covs)[choice]
+        return self.means[choice] + (chols @ z[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -324,12 +318,11 @@ def simulate_observations(task: Task, count: int, rng: np.random.Generator) -> n
         raise ValueError("need at least one observation")
     theta_star = prior_dist(task).sample(1, rng)[0]
     if task.kind == "gmm_likelihood":
-        choice = rng.choice(task.likelihood_cov_scales.size, size=count, p=task.likelihood_weights)
-        chols = [np.linalg.cholesky(s * task.likelihood_cov) for s in task.likelihood_cov_scales]
-        z = rng.standard_normal((count, task.dim))
-        return np.array([theta_star + chols[k] @ z[i] for i, k in enumerate(choice)])
-    chol = np.linalg.cholesky(task.likelihood_cov)
-    return theta_star + rng.standard_normal((count, task.dim)) @ chol.T
+        covs = task.likelihood_cov_scales[:, None, None] * task.likelihood_cov
+        noise = GaussianMixture(task.likelihood_weights, np.zeros(covs.shape[:2]), covs)
+    else:
+        noise = GaussianDist(np.zeros(task.dim), task.likelihood_cov)
+    return theta_star + noise.sample(count, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -436,81 +429,72 @@ def _proxies(task: Task, update) -> tuple[GaussianDist, np.ndarray, np.ndarray]:
     return (prior, *_moments(np.exp(log_w), means, covs))
 
 
-def _check_component_cap(task: Task, component_cap: int) -> None:
-    """Refuse a joint posterior of more than component_cap components (K^n for gmm_likelihood)."""
+def _check_component_cap(task: Task) -> None:
+    """Refuse a joint posterior of more than _COMPONENT_CAP components (K^n for gmm_likelihood)."""
     if task.kind == "gmm_likelihood":
         total = task.likelihood_weights.size**task.n
-        if total > component_cap:
+        if total > _COMPONENT_CAP:
             raise ValueError(
-                f"joint posterior needs {total} components, above the cap {component_cap}"
+                f"joint posterior needs {total} components, above the cap {_COMPONENT_CAP}"
             )
 
 
-def joint_posterior_mixture(task: Task, component_cap: int = _COMPONENT_CAP) -> GaussianMixture:
+def joint_posterior_mixture(task: Task) -> GaussianMixture:
     """Exact finite-mixture form of p(theta | x_{1:n}).
 
     gaussian: one component. gmm_prior: one component per prior component
     (the Gaussian likelihood product collapses to a single kernel).
-    gmm_likelihood: one component per assignment of a likelihood component to
-    each observation; refuses above component_cap.
+    gmm_likelihood: one component per assignment a of a likelihood component
+    to each observation, in lexicographic order; refuses above
+    _COMPONENT_CAP. Assignment a collapses prod_i N(x_i; theta, c_{a_i} Sigma)
+    to a Gaussian likelihood with precision S_a Sigma^-1 and linear term
+    Sigma^-1 y_a, where S_a = sum_i 1/c_{a_i} and y_a = sum_i x_i / c_{a_i}.
+    The component covariance (I + S_a Sigma^-1)^-1 thus depends on a only
+    through how many observations each likelihood component gets, and is
+    inverted once per distinct count.
     """
     if task.n < 1:
         raise ValueError("need at least one observation")
-    _check_component_cap(task, component_cap)
-    n = task.n
+    _check_component_cap(task)
+    n, d = task.n, task.dim
     if task.kind != "gmm_likelihood":
         # prod_i N(x_i; theta, Sigma) is proportional to N(x_bar; theta, Sigma / n)
         x_bar = task.observations.sum(axis=0) / n
         log_w, means, covs = _conjugate_update(task, x_bar[None, :], n)
         return GaussianMixture(np.exp(log_w[0]), means[0], covs)
-    d = task.dim
-    eye = np.eye(d)
-    sigma = task.likelihood_cov
-    # gmm_likelihood: enumerate component assignments
     K = task.likelihood_weights.size
-    total = K**n
-    precisions = np.empty((K, d, d))
-    logdets = np.empty(K)
-    for k in range(K):
-        sig_k = float(task.likelihood_cov_scales[k]) * sigma
-        factor = cho_factor(sig_k, lower=True)
-        precisions[k] = cho_solve(factor, eye)
-        logdets[k] = 2.0 * np.sum(np.log(np.diag(factor[0])))
-    # per (observation, component): precision-weighted data and quadratic forms
-    px = np.einsum("kij,nj->nki", precisions, task.observations)
-    quad = np.einsum("ni,nki->nk", task.observations, px)
-    log_wk = np.log(task.likelihood_weights)
-    combos = list(itertools.product(range(K), repeat=n))
-    means = np.empty((total, d))
-    covs = np.empty((total, d, d))
-    log_w = np.empty(total)
-    idx = np.arange(n)
-    for c, combo in enumerate(combos):
-        combo = np.asarray(combo)
-        lam = eye + precisions[combo].sum(axis=0)
-        b = px[idx, combo].sum(axis=0)
-        factor = cho_factor(lam, lower=True)
-        cov = cho_solve(factor, eye)
-        covs[c] = 0.5 * (cov + cov.T)
-        means[c] = cho_solve(factor, b)
-        logdet_lam = 2.0 * np.sum(np.log(np.diag(factor[0])))
-        log_z = (
-            -0.5 * (n * d * _LOG_2PI + logdets[combo].sum() + quad[idx, combo].sum())
-            - 0.5 * logdet_lam
-            + 0.5 * float(b @ means[c])
-        )
-        log_w[c] = log_wk[combo].sum() + log_z
+    assign = np.indices((K,) * n).reshape(n, -1).T  # (K^n, n)
+    counts, group = np.unique(
+        (assign[:, :, None] == np.arange(K)).sum(axis=1), axis=0, return_inverse=True
+    )
+    group = group.reshape(-1)
+    inv_c = 1.0 / task.likelihood_cov_scales
+    sigma_inv = _spd_inverse(task.likelihood_cov, "likelihood_cov")
+    lam = np.eye(d) + (counts @ inv_c)[:, None, None] * sigma_inv
+    covs = _spd_inverse(lam, "joint posterior precision")[group]
+    b = inv_c[assign] @ task.observations @ sigma_inv  # Sigma^-1 y_a, (K^n, d)
+    means = (covs @ b[:, :, None])[:, :, 0]
+    # log evidence of each assignment, up to the terms every assignment shares:
+    # sum_i [log pi_{a_i} - (d log c_{a_i} + x_i' Sigma^-1 x_i / c_{a_i}) / 2]
+    # - log det(I + S_a Sigma^-1) / 2 + b_a' mean_a / 2
+    quad = np.einsum("ni,ij,nj->n", task.observations, sigma_inv, task.observations)
+    per_obs = np.log(task.likelihood_weights) - 0.5 * (
+        d * np.log(task.likelihood_cov_scales) + quad[:, None] * inv_c
+    )  # (n, K)
+    log_w = (
+        per_obs[np.arange(n), assign].sum(axis=1)
+        - 0.5 * np.linalg.slogdet(lam)[1][group]
+        + 0.5 * np.sum(b * means, axis=1)
+    )
     weights = np.exp(log_w - logsumexp(log_w))
     return GaussianMixture(weights / weights.sum(), means, covs)
 
 
-def exact_posterior_sample(
-    task: Task, count: int, seed: int, component_cap: int = _COMPONENT_CAP
-) -> SampleSet:
+def exact_posterior_sample(task: Task, count: int, seed: int) -> SampleSet:
     """I.i.d. ground-truth draws from p(theta | x_{1:n}), reproducible per seed."""
     if count < 1:
         raise ValueError("need at least one sample")
-    mixture = joint_posterior_mixture(task, component_cap=component_cap)
+    mixture = joint_posterior_mixture(task)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     points = mixture.sample(count, rng)
     return SampleSet(points=points, level=0.0, seed=seed, steps_used=0)

@@ -76,6 +76,15 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     missing = str(tmp_path / "nope.json")
     assert main(["tune", "--config", missing, "--out", str(tmp_path / "out")]) == 2
+    # wrongly typed values are config errors too, not tracebacks
+    for i, bad in enumerate(
+        ({"tuning": {"gamma": None}}, {"sampling": {"chains": [3]}}, {"task": "gaussian"})
+    ):
+        path = _write_cfg(tmp_path / f"typed{i}.json", bad)
+        out = tmp_path / f"typed_out{i}"
+        assert main(["sample", "--config", path, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_tune_writes_plans_and_report(tmp_path):

@@ -111,6 +111,55 @@ def test_gmm_likelihood_joint_matches_grid_quadrature():
     assert np.exp(joint.log_pdf(grid)) == pytest.approx(pdf_grid, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("d", [1, 3, 5])
+@pytest.mark.parametrize("K", [2, 3])
+def test_gmm_likelihood_joint_matches_model_density(K, d, n):
+    # log joint(theta) - [log N(theta; 0, I) + sum_i log sum_k pi_k N(x_i; theta, c_k Sigma)]
+    # is the log evidence, the same at every theta
+    rng = np.random.default_rng([K, d, n])
+    a = rng.standard_normal((d, d))
+    base = a @ a.T / d + 0.2 * np.eye(d)
+    scales = rng.uniform(0.2, 3.0, size=K)
+    weights = rng.dirichlet(np.ones(K))
+    obs = 1.5 * rng.standard_normal((n, d))
+    task = gmm_likelihood_task(obs, base_cov=base, cov_scales=scales, weights=weights)
+    theta = rng.standard_normal((50, d))
+    log_model = multivariate_normal(np.zeros(d), np.eye(d)).logpdf(theta).reshape(50)
+    for x in obs:
+        per_component = [
+            np.log(w) + multivariate_normal(x, c * base).logpdf(theta).reshape(50)
+            for w, c in zip(weights, scales)
+        ]
+        log_model += logsumexp(per_component, axis=0)
+    gap = joint_posterior_mixture(task).log_pdf(theta) - log_model
+    assert np.ptp(gap) < 1e-9
+
+
+@pytest.mark.parametrize("weights", [[1.0], [0.3, 0.0, 0.7], [0.2, 0.5, 0.3]])
+def test_mixture_sample_matches_component_loop(weights):
+    rng = np.random.default_rng(len(weights))
+    K, d, count = len(weights), 3, 500
+    a = rng.standard_normal((K, d, d))
+    covs = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(d)
+    means = 3.0 * rng.standard_normal((K, d))
+    draws = GaussianMixture(np.array(weights), means, covs).sample(count, _philox(11))
+    gen = _philox(11)  # the sampler's draws in order: components, then the normals
+    choice = gen.choice(K, size=count, p=weights)
+    z = gen.standard_normal((count, d))
+    expected = np.full((count, d), np.nan)
+    for k in range(K):
+        mask = choice == k
+        expected[mask] = means[k] + z[mask] @ np.linalg.cholesky(covs[k]).T
+    assert set(choice) == {k for k, w in enumerate(weights) if w > 0}
+    # equal up to rounding: 1e-15 relative to the largest draw
+    np.testing.assert_allclose(draws, expected, rtol=0, atol=1e-15 * np.abs(expected).max())
+
+
+def _philox(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
 def test_simulate_observations_reproducible():
     task = gaussian_task(np.eye(3) * 0.1, np.zeros((0, 3)))
     a = simulate_observations(task, 5, np.random.default_rng(11))
