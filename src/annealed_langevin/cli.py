@@ -100,7 +100,11 @@ def resolve_config(
     method: str | None = None,
     out: str | None = None,
 ) -> dict:
-    """Merge defaults, apply CLI overrides and materialize derived defaults."""
+    """Merge defaults, apply CLI overrides, materialize derived defaults and convert every value.
+
+    This is the one place that converts config values, so a wrongly typed one
+    raises TypeError or ValueError here, before any output is written.
+    """
     cfg = _merge(_default_config(), user)
     if cfg["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {cfg['schema_version']!r}")
@@ -113,7 +117,18 @@ def resolve_config(
     task = cfg["task"]
     if task["kind"] not in KINDS:
         raise ValueError(f"unknown task kind {task['kind']!r}")
-    dim = int(task["dim"])
+    dim = task["dim"] = int(task["dim"])
+    task["data_seed"] = int(task["data_seed"])
+    n = task["n"]
+    task["n"] = [int(v) for v in n] if isinstance(n, list) else int(n)
+    if task["n"] == []:
+        raise ValueError("task.n list must be nonempty")
+    like = task["likelihood"]
+    if task["kind"] != "gmm_likelihood" and like["cov"] is None:  # only then is it used
+        spd = like["random_spd"]
+        lo, hi = spd["eig_range"] = [float(v) for v in spd["eig_range"]]
+        if not 0 < lo <= hi:
+            raise ValueError("task.likelihood.random_spd.eig_range must satisfy 0 < low <= high")
     if dim < 1:
         raise ValueError("task.dim must be positive")
     if cfg["method"] not in (*METHODS, "both"):
@@ -126,6 +141,14 @@ def resolve_config(
     for key in ("gamma", "omega", "eps_dsm_prior", "eps_dsm_post"):
         tune[key] = float(tune[key])
     tune["T"] = int(tune["T"])
+    for key in ("beta_min", "beta_max", "t_floor"):
+        cfg["schedule"][key] = float(cfg["schedule"][key])
+    output = cfg["output"]
+    if not isinstance(output["directory"], str):
+        raise ValueError("output.directory must be a string")
+    formats = output["formats"]
+    if not isinstance(formats, list) or not all(isinstance(f, str) for f in formats):
+        raise ValueError("output.formats must be a list of strings")
     sampling["chains"], sampling["seed"] = int(sampling["chains"]), int(sampling["seed"])
     if sampling["seeds"] is not None:
         sampling["seeds"] = [int(s) for s in sampling["seeds"]]
@@ -141,9 +164,7 @@ def _key_rng(*key: int) -> np.random.Generator:
 
 
 def _random_spd(dim: int, eig_range: tuple[float, float], rng: np.random.Generator) -> np.ndarray:
-    lo, hi = float(eig_range[0]), float(eig_range[1])
-    if not 0 < lo <= hi:
-        raise ValueError("eig_range must satisfy 0 < low <= high")
+    lo, hi = eig_range
     eigs = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     mat = (q * eigs) @ q.T
@@ -158,9 +179,7 @@ def build_task(cfg: dict, n: int, cell_seed: int) -> Task:
     in isolation.
     """
     task_cfg = cfg["task"]
-    kind = task_cfg["kind"]
-    dim = int(task_cfg["dim"])
-    data_seed = int(task_cfg["data_seed"])
+    kind, dim, data_seed = task_cfg["kind"], task_cfg["dim"], task_cfg["data_seed"]
     if n < 1:
         raise ValueError("task.n must be at least 1")
     empty = np.zeros((0, dim))
@@ -194,12 +213,7 @@ def build_task(cfg: dict, n: int, cell_seed: int) -> Task:
 
 
 def _schedule(cfg: dict) -> Schedule:
-    block = cfg["schedule"]
-    return Schedule(
-        beta_min=float(block["beta_min"]),
-        beta_max=float(block["beta_max"]),
-        t_floor=float(block["t_floor"]),
-    )
+    return Schedule(**cfg["schedule"])
 
 
 def _tuning_config(cfg: dict, n: int, method: str) -> TuningConfig:
@@ -212,7 +226,7 @@ def _require_int_n(cfg: dict, command: str) -> int:
     n = cfg["task"]["n"]
     if isinstance(n, list):
         raise ValueError(f"task.n is a list; use the sweep command instead of {command}")
-    return int(n)
+    return n
 
 
 def _write_plan_csv(path: Path, level_plan: LevelPlan) -> None:
@@ -335,7 +349,7 @@ def cmd_sample(cfg: dict, out_dir: Path) -> int:
     sched = _schedule(cfg)
     task = build_task(cfg, n, seed)
     reference = _shared_reference(task, cfg["sampling"]["chains"], seed)
-    formats = list(cfg["output"]["formats"])
+    formats = cfg["output"]["formats"]
     results: dict[str, dict] = {}
     timings: dict[str, dict] = {}
     code = 0
@@ -384,9 +398,7 @@ def _dump_points(out_dir: Path, name: str, points: np.ndarray, formats: list[str
 def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     """Run every (n, seed, method) cell in that order, one after another, in this thread."""
     n_value = cfg["task"]["n"]
-    n_list = [int(v) for v in (n_value if isinstance(n_value, list) else [n_value])]
-    if not n_list:
-        raise ValueError("task.n list must be nonempty")
+    n_list = n_value if isinstance(n_value, list) else [n_value]
     seeds = cfg["sampling"]["seeds"] or [cfg["sampling"]["seed"]]
     methods = _methods(cfg)
     tunings = {(n, method): _tuning_config(cfg, n, method) for n in n_list for method in methods}

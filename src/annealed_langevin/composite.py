@@ -214,7 +214,7 @@ def composite_field(task: Task, method: str, s: Schedule):
     _check_method(method)
     if task.n < 1:
         raise ValueError("need at least one observation")
-    base_post = _conjugate_update(task, task.observations, 1)
+    base_post = _conjugate_update(task, task.observations[:, None])
     base_prior = prior_dist(task)._params() if task.kind == "gmm_prior" else None
     spec = None
     if method == "linhart":  # proxies from the same conjugate update as the mixtures

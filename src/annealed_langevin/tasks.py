@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 
 from .sampler import SampleSet
@@ -335,55 +334,56 @@ def _check_index(task: Task, i: int) -> int:
     return i
 
 
-def _conjugate_update(
-    task: Task, x: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Posterior of sum_k w_k N(mu_k, s_k^2 I) under N(x; theta, L_k / n), for each row of x.
+def _conjugate_update(task: Task, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Posteriors of r problems, each conditioned on its m observations: x is (r, m, d).
 
-    Every kind is this one conjugate update. gaussian: a single component
-    (w, mu, s^2, L) = (1, 0, 1, Sigma). gmm_prior: the prior's components,
-    each with L_k = Sigma. gmm_likelihood: the likelihood's components, each
-    with mu_k = 0, s_k^2 = 1 and L_k = c_k Sigma. Component k of the
-    posterior has covariance s^2 (L + s^2 I)^{-1} L, mean
-    (L + s^2 I)^{-1} (L mu + s^2 x) and log weight
-    log w + log N(x; mu, L + s^2 I). n > 1 with x the observation mean gives
-    the joint posterior when the likelihood is a single Gaussian.
+    Every kind is a prior sum_k w_k N(mu_k, s_k^2 I) with a likelihood
+    sum_j pi_j N(x; theta, c_j Sigma): gaussian has K = J = 1, gmm_prior
+    J = 1, and gmm_likelihood K = 1 (mu = 0, s = 1). Component (k, a) pairs
+    prior component k with an assignment a of likelihood components to the m
+    observations, k-major with the assignments in lexicographic order. Given
+    a, prod_i N(x_i; theta, c_{a_i} Sigma) is proportional to
+    exp(theta' Sigma^-1 y_a - S_a theta' Sigma^-1 theta / 2), where
+    S_a = sum_i 1/c_{a_i} and y_a = sum_i x_i / c_{a_i}. So the component has
+    precision A = S_a Sigma^-1 + I / s_k^2, mean A^-1 (Sigma^-1 y_a + mu_k / s_k^2)
+    and log weight log w_k + sum_i log pi_{a_i} plus its log evidence.
 
-    Returns normalized log weights (rows, K), means (rows, K, d) and
-    covariances (K, d, d); the covariances do not depend on x.
+    Returns normalized log weights (r, K J^m), means (r, K J^m, d) and
+    covariances (K J^m, d, d); the covariances do not depend on x.
     """
-    d = task.dim
-    sigma = task.likelihood_cov / n
+    r, m, d = x.shape
     if task.kind == "gmm_prior":
-        weights, prior_means = task.prior_weights, task.prior_means
-        prior_vars, like_covs = task.prior_scales**2, [sigma] * weights.size
-    elif task.kind == "gmm_likelihood":
-        weights = task.likelihood_weights
-        prior_means, prior_vars = np.zeros((weights.size, d)), np.ones(weights.size)
-        like_covs = [c * sigma for c in task.likelihood_cov_scales]
+        log_w, mu, s2 = np.log(task.prior_weights), task.prior_means, task.prior_scales**2
     else:
-        weights, prior_means = np.ones(1), np.zeros((1, d))
-        prior_vars, like_covs = np.ones(1), [sigma]
-    eye = np.eye(d)
-    log_w = np.empty((x.shape[0], weights.size))
-    means = np.empty((x.shape[0], weights.size, d))
-    covs = np.empty((weights.size, d, d))
-    for k, like in enumerate(like_covs):
-        s2 = float(prior_vars[k])
-        factor = cho_factor(like + s2 * eye, lower=True)
-        cov = s2 * cho_solve(factor, like)
-        covs[k] = 0.5 * (cov + cov.T)
-        means[:, k] = cho_solve(factor, (like @ prior_means[k] + s2 * x).T).T
-        delta = x - prior_means[k]
-        quad = np.sum(delta * cho_solve(factor, delta.T).T, axis=1)
-        logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
-        log_w[:, k] = np.log(weights[k]) - 0.5 * (quad + logdet + d * _LOG_2PI)
-    return log_w - logsumexp(log_w, axis=1, keepdims=True), means, covs
+        log_w, mu, s2 = np.zeros(1), np.zeros((1, d)), np.ones(1)
+    if task.kind == "gmm_likelihood":
+        log_pi, c = np.log(task.likelihood_weights), task.likelihood_cov_scales
+    else:
+        log_pi, c = np.zeros(1), np.ones(1)
+    # (J^m, m), lexicographic: the base-J digits of 0 .. J^m - 1 (J^m = 1 when J = 1)
+    assign = np.arange(c.size**m)[:, None] // c.size ** np.arange(m - 1, -1, -1) % c.size
+    inv_c = 1.0 / c[assign]
+    sigma_inv = _spd_inverse(task.likelihood_cov, "likelihood_cov")
+    prec = inv_c.sum(axis=1)[:, None, None] * sigma_inv + np.eye(d) / s2[:, None, None, None]
+    prec = prec.reshape(-1, d, d)  # (K J^m, d, d), k-major
+    covs = _spd_inverse(prec, "posterior precision")
+    lin = (inv_c @ x @ sigma_inv)[:, None] + (mu / s2[:, None])[:, None, :]  # (r, K, J^m, d)
+    lin = lin.reshape(r, -1, d)
+    means = np.einsum("cij,rcj->rci", covs, lin)
+    # log evidence, up to the terms every component of a row shares:
+    # -d log s_k - |mu_k|^2 / (2 s_k^2) - sum_i (d log c_{a_i} + x_i' Sigma^-1 x_i / c_{a_i}) / 2
+    # - log det A / 2 + lin' mean / 2
+    quad = np.einsum("rmi,ij,rmj->rm", x, sigma_inv, x)
+    per_a = (log_pi - 0.5 * d * np.log(c))[assign].sum(axis=1) - 0.5 * quad @ inv_c.T  # (r, J^m)
+    per_k = log_w - 0.5 * (d * np.log(s2) + np.sum(mu * mu, axis=1) / s2)  # (K,)
+    log_post = (per_k[:, None] + per_a[:, None, :]).reshape(r, -1)
+    log_post += 0.5 * (np.sum(lin * means, axis=-1) - np.linalg.slogdet(prec)[1])
+    return log_post - logsumexp(log_post, axis=1, keepdims=True), means, covs
 
 
 def _observation_params(task: Task, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _check_index(task, i)
-    return _conjugate_update(task, task.observations[i : i + 1], 1)
+    return _conjugate_update(task, task.observations[i : i + 1, None])
 
 
 def posterior_mixture(task: Task, i: int) -> GaussianMixture:
@@ -417,7 +417,7 @@ def gaussian_proxies(task: Task) -> tuple[GaussianDist, np.ndarray, np.ndarray]:
     Returns the prior proxy and the posterior proxies' means (n, d) and
     covariances (n, d, d). On the gaussian kind they are the exact densities.
     """
-    return _proxies(task, _conjugate_update(task, task.observations, 1))
+    return _proxies(task, _conjugate_update(task, task.observations[:, None]))
 
 
 def _proxies(task: Task, update) -> tuple[GaussianDist, np.ndarray, np.ndarray]:
@@ -440,54 +440,17 @@ def _check_component_cap(task: Task) -> None:
 
 
 def joint_posterior_mixture(task: Task) -> GaussianMixture:
-    """Exact finite-mixture form of p(theta | x_{1:n}).
+    """Exact finite-mixture form of p(theta | x_{1:n}): the conjugate update of all n observations.
 
-    gaussian: one component. gmm_prior: one component per prior component
-    (the Gaussian likelihood product collapses to a single kernel).
-    gmm_likelihood: one component per assignment a of a likelihood component
-    to each observation, in lexicographic order; refuses above
-    _COMPONENT_CAP. Assignment a collapses prod_i N(x_i; theta, c_{a_i} Sigma)
-    to a Gaussian likelihood with precision S_a Sigma^-1 and linear term
-    Sigma^-1 y_a, where S_a = sum_i 1/c_{a_i} and y_a = sum_i x_i / c_{a_i}.
-    The component covariance (I + S_a Sigma^-1)^-1 thus depends on a only
-    through how many observations each likelihood component gets, and is
-    inverted once per distinct count.
+    gaussian: one component. gmm_prior: one per prior component.
+    gmm_likelihood: one per assignment of a likelihood component to each
+    observation, in lexicographic order; refuses above _COMPONENT_CAP.
     """
     if task.n < 1:
         raise ValueError("need at least one observation")
     _check_component_cap(task)
-    n, d = task.n, task.dim
-    if task.kind != "gmm_likelihood":
-        # prod_i N(x_i; theta, Sigma) is proportional to N(x_bar; theta, Sigma / n)
-        x_bar = task.observations.sum(axis=0) / n
-        log_w, means, covs = _conjugate_update(task, x_bar[None, :], n)
-        return GaussianMixture(np.exp(log_w[0]), means[0], covs)
-    K = task.likelihood_weights.size
-    assign = np.indices((K,) * n).reshape(n, -1).T  # (K^n, n)
-    counts, group = np.unique(
-        (assign[:, :, None] == np.arange(K)).sum(axis=1), axis=0, return_inverse=True
-    )
-    group = group.reshape(-1)
-    inv_c = 1.0 / task.likelihood_cov_scales
-    sigma_inv = _spd_inverse(task.likelihood_cov, "likelihood_cov")
-    lam = np.eye(d) + (counts @ inv_c)[:, None, None] * sigma_inv
-    covs = _spd_inverse(lam, "joint posterior precision")[group]
-    b = inv_c[assign] @ task.observations @ sigma_inv  # Sigma^-1 y_a, (K^n, d)
-    means = (covs @ b[:, :, None])[:, :, 0]
-    # log evidence of each assignment, up to the terms every assignment shares:
-    # sum_i [log pi_{a_i} - (d log c_{a_i} + x_i' Sigma^-1 x_i / c_{a_i}) / 2]
-    # - log det(I + S_a Sigma^-1) / 2 + b_a' mean_a / 2
-    quad = np.einsum("ni,ij,nj->n", task.observations, sigma_inv, task.observations)
-    per_obs = np.log(task.likelihood_weights) - 0.5 * (
-        d * np.log(task.likelihood_cov_scales) + quad[:, None] * inv_c
-    )  # (n, K)
-    log_w = (
-        per_obs[np.arange(n), assign].sum(axis=1)
-        - 0.5 * np.linalg.slogdet(lam)[1][group]
-        + 0.5 * np.sum(b * means, axis=1)
-    )
-    weights = np.exp(log_w - logsumexp(log_w))
-    return GaussianMixture(weights / weights.sum(), means, covs)
+    log_w, means, covs = _conjugate_update(task, task.observations[None])
+    return GaussianMixture(np.exp(log_w[0]), means[0], covs)
 
 
 def exact_posterior_sample(task: Task, count: int, seed: int) -> SampleSet:

@@ -56,6 +56,18 @@ def test_resolve_config_rejects_unknown_keys_and_bad_values():
         resolve_config({"task": {"kind": "weird"}})
     with pytest.raises(ValueError, match="method"):
         resolve_config({"method": "magic"})
+    with pytest.raises(ValueError, match="eig_range"):
+        resolve_config({"task": {"likelihood": {"random_spd": {"eig_range": [0, 1]}}}})
+
+
+def test_resolve_config_ignores_unused_eig_range():
+    # eig_range is read only when a random SPD likelihood matrix is drawn
+    explicit = {"cov": [[1.0, 0.0], [0.0, 1.0]], "random_spd": None}
+    cfg = resolve_config({"task": {"likelihood": explicit}})
+    assert build_task(cfg, 3, 0).likelihood_cov.tolist() == explicit["cov"]
+    unused = {"random_spd": {"eig_range": [0, 1]}}
+    cfg = resolve_config({"task": {"kind": "gmm_likelihood", "likelihood": unused}})
+    assert build_task(cfg, 3, 0).kind == "gmm_likelihood"
 
 
 def test_build_task_reproducible_per_cell():
@@ -70,21 +82,36 @@ def test_build_task_reproducible_per_cell():
     assert eigs.min() > 0.02 * 0.99 and eigs.max() < 0.1 * 1.01
 
 
-def test_main_rejects_bad_config(tmp_path, capsys):
+def test_main_rejects_bad_config(tmp_path, capsys, monkeypatch):
     path = _write_cfg(tmp_path / "bad.json", {"tuning": {"gama": 1.0}})
     assert main(["tune", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
     missing = str(tmp_path / "nope.json")
     assert main(["tune", "--config", missing, "--out", str(tmp_path / "out")]) == 2
     # wrongly typed values are config errors too, not tracebacks
-    for i, bad in enumerate(
-        ({"tuning": {"gamma": None}}, {"sampling": {"chains": [3]}}, {"task": "gaussian"})
+    for i, (command, bad) in enumerate(
+        (
+            ("sample", {"tuning": {"gamma": None}}),
+            ("sample", {"sampling": {"chains": [3]}}),
+            ("sample", {"task": "gaussian"}),
+            ("sweep", {"schedule": {"beta_min": None}}),
+            ("sample", {"task": {"data_seed": [1]}}),
+            ("sweep", {"task": {"n": [None, 2]}}),
+            ("sample", {"task": {"likelihood": {"random_spd": {"eig_range": None}}}}),
+            ("sample", {"output": {"formats": 3}}),
+        )
     ):
         path = _write_cfg(tmp_path / f"typed{i}.json", bad)
         out = tmp_path / f"typed_out{i}"
-        assert main(["sample", "--config", path, "--out", str(out)]) == 2
+        assert main([command, "--config", path, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+    # without --out the directory comes from the config
+    monkeypatch.chdir(tmp_path)
+    path = _write_cfg(tmp_path / "typed_dir.json", {"output": {"directory": 3}})
+    assert main(["sample", "--config", path]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "3").exists()
 
 
 def test_tune_writes_plans_and_report(tmp_path):

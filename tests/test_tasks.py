@@ -107,16 +107,42 @@ def test_gmm_likelihood_joint_matches_grid_quadrature():
         pdf = sum(w * np.exp(c.log_pdf(grid)) for w, c in zip(task.likelihood_weights, comps))
         log_unnorm += np.log(pdf)
     pdf_grid = np.exp(log_unnorm)
-    pdf_grid /= np.trapezoid(pdf_grid, grid.ravel())
+    pdf_grid /= np.sum(0.5 * (pdf_grid[1:] + pdf_grid[:-1]) * np.diff(grid.ravel()))  # trapezoid
     assert np.exp(joint.log_pdf(grid)) == pytest.approx(pdf_grid, abs=1e-6)
+
+
+def _assert_joint_matches_model(task: Task, theta: np.ndarray) -> None:
+    # log joint(theta) - [log prior(theta) + sum_i log lik(x_i | theta)] is the
+    # log evidence, the same at every theta; the model terms come from scipy.stats
+    d, count = task.dim, len(theta)
+    if task.kind == "gmm_prior":
+        log_model = logsumexp(
+            [
+                np.log(w) + multivariate_normal(mu, s * s * np.eye(d)).logpdf(theta).reshape(count)
+                for w, mu, s in zip(task.prior_weights, task.prior_means, task.prior_scales)
+            ],
+            axis=0,
+        )
+    else:
+        log_model = multivariate_normal(np.zeros(d), np.eye(d)).logpdf(theta).reshape(count)
+    if task.kind == "gmm_likelihood":
+        weights, scales = task.likelihood_weights, task.likelihood_cov_scales
+    else:
+        weights, scales = [1.0], [1.0]
+    for x in task.observations:
+        per_component = [
+            np.log(w) + multivariate_normal(x, c * task.likelihood_cov).logpdf(theta).reshape(count)
+            for w, c in zip(weights, scales)
+        ]
+        log_model = log_model + logsumexp(per_component, axis=0)
+    gap = joint_posterior_mixture(task).log_pdf(theta) - log_model
+    assert np.ptp(gap) < 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 @pytest.mark.parametrize("d", [1, 3, 5])
 @pytest.mark.parametrize("K", [2, 3])
 def test_gmm_likelihood_joint_matches_model_density(K, d, n):
-    # log joint(theta) - [log N(theta; 0, I) + sum_i log sum_k pi_k N(x_i; theta, c_k Sigma)]
-    # is the log evidence, the same at every theta
     rng = np.random.default_rng([K, d, n])
     a = rng.standard_normal((d, d))
     base = a @ a.T / d + 0.2 * np.eye(d)
@@ -124,16 +150,29 @@ def test_gmm_likelihood_joint_matches_model_density(K, d, n):
     weights = rng.dirichlet(np.ones(K))
     obs = 1.5 * rng.standard_normal((n, d))
     task = gmm_likelihood_task(obs, base_cov=base, cov_scales=scales, weights=weights)
-    theta = rng.standard_normal((50, d))
-    log_model = multivariate_normal(np.zeros(d), np.eye(d)).logpdf(theta).reshape(50)
-    for x in obs:
-        per_component = [
-            np.log(w) + multivariate_normal(x, c * base).logpdf(theta).reshape(50)
-            for w, c in zip(weights, scales)
-        ]
-        log_model += logsumexp(per_component, axis=0)
-    gap = joint_posterior_mixture(task).log_pdf(theta) - log_model
-    assert np.ptp(gap) < 1e-9
+    _assert_joint_matches_model(task, rng.standard_normal((50, d)))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 100])
+@pytest.mark.parametrize("d", [1, 3, 5])
+@pytest.mark.parametrize("kind", ["gaussian", "gmm_prior"])
+def test_joint_matches_model_density(kind, d, n):
+    # the kinds with one likelihood component, conditioned on all n observations
+    rng = np.random.default_rng([KINDS.index(kind), d, n])
+    a = rng.standard_normal((d, d))
+    cov = a @ a.T / d + 0.2 * np.eye(d)
+    obs = 1.5 * rng.standard_normal((n, d))
+    if kind == "gaussian":
+        task = gaussian_task(cov, obs)
+    else:
+        task = gmm_prior_task(
+            cov,
+            obs,
+            prior_means=1.5 * rng.standard_normal((3, d)),
+            prior_scales=rng.uniform(0.3, 1.5, size=3),
+            prior_weights=rng.dirichlet(np.ones(3)),
+        )
+    _assert_joint_matches_model(task, rng.standard_normal((50, d)))
 
 
 @pytest.mark.parametrize("weights", [[1.0], [0.3, 0.0, 0.7], [0.2, 0.5, 0.3]])

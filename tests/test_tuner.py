@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealed_langevin import (
+    KINDS,
     GaussianDist,
     GaussianMixture,
     LevelPlan,
@@ -16,10 +21,12 @@ from annealed_langevin import (
     gaussian_proxies,
     gaussian_task,
     global_bound,
+    gmm_likelihood_task,
     gmm_prior_task,
     plan,
     posterior_moments,
     prior_dist,
+    simulate_observations,
 )
 from annealed_langevin import theory
 from conftest import make_gaussian_task, rand_spd
@@ -240,3 +247,42 @@ def test_level_plan_validation():
         bad = dict(base, **{field_name: value})
         with pytest.raises(ValueError):
             LevelPlan(**bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    method=st.sampled_from(["geffner", "linhart"]),
+    d=st.integers(1, 6),
+    n=st.integers(1, 30),
+    log10_cond=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plan_certifies_or_raises_tuning_error(sched, kind, method, d, n, log10_cond, seed):
+    # on any valid task, plan either meets gamma or says why with TuningError
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    eigs = 10.0 ** (rng.uniform(-2.0, 0.0) + log10_cond * np.linspace(0.0, 1.0, d))
+    sigma = 0.5 * ((q * eigs) @ q.T + ((q * eigs) @ q.T).T)
+    empty = np.zeros((0, d))
+    if kind == "gaussian":
+        template = gaussian_task(sigma, empty)
+    elif kind == "gmm_prior":
+        w = rng.uniform(0.1, 0.9)
+        template = gmm_prior_task(
+            sigma, empty, 1.5 * rng.standard_normal((2, d)), rng.uniform(0.3, 1.0, 2), (w, 1 - w)
+        )
+    else:
+        w = rng.uniform(0.1, 0.9)
+        template = gmm_likelihood_task(
+            empty, base_cov=sigma, cov_scales=rng.uniform(0.2, 3.0, 2), weights=(w, 1 - w)
+        )
+    task = dataclasses.replace(
+        template, observations=simulate_observations(template, n, rng)
+    )
+    try:
+        level_plan = plan(task, method, CFG, sched)
+    except TuningError:
+        return
+    assert isinstance(level_plan, LevelPlan)
+    assert global_bound(level_plan) <= CFG.gamma
