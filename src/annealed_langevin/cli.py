@@ -23,7 +23,7 @@ import numpy as np
 from .composite import METHODS, compose_dsm_error, composite_field
 from .metrics import empirical_w2
 from .sampler import DivergenceError, SampleSet, annealed_sample
-from .schedule import Schedule
+from .schedule import Schedule, levels
 from .tasks import (
     KINDS,
     Task,
@@ -150,6 +150,8 @@ def resolve_config(
     if not isinstance(formats, list) or not all(isinstance(f, str) for f in formats):
         raise ValueError("output.formats must be a list of strings")
     sampling["chains"], sampling["seed"] = int(sampling["chains"]), int(sampling["seed"])
+    if sampling["chains"] < 1:
+        raise ValueError("sampling.chains must be at least 1")
     if sampling["seeds"] is not None:
         sampling["seeds"] = [int(s) for s in sampling["seeds"]]
     return cfg
@@ -222,72 +224,39 @@ def _tuning_config(cfg: dict, n: int, method: str) -> TuningConfig:
     return TuningConfig(gamma=tune["gamma"], omega=tune["omega"], eps_dsm=eps, T=tune["T"])
 
 
-def _require_int_n(cfg: dict, command: str) -> int:
-    n = cfg["task"]["n"]
-    if isinstance(n, list):
+def _grid(cfg: dict, command: str) -> tuple[Schedule, list[tuple[int, Task, dict]]]:
+    """The schedule and every (n, seed) cell in run order: its seed, task and per-method tuning.
+
+    `tune` and `sample` have one cell; `sweep` has one per (n, seed). Building
+    them all up front raises every config error here, before any output.
+    """
+    sched = _schedule(cfg)
+    levels(sched, cfg["tuning"]["T"])  # refuses a t_floor that is not below 1/T
+    n_value = cfg["task"]["n"]
+    if isinstance(n_value, list) and command != "sweep":
         raise ValueError(f"task.n is a list; use the sweep command instead of {command}")
-    return n
+    n_list = n_value if isinstance(n_value, list) else [n_value]
+    seeds = (command == "sweep" and cfg["sampling"]["seeds"]) or [cfg["sampling"]["seed"]]
+    return sched, [
+        (seed, build_task(cfg, n, seed), {m: _tuning_config(cfg, n, m) for m in _methods(cfg)})
+        for n in n_list
+        for seed in seeds
+    ]
 
 
 def _write_plan_csv(path: Path, level_plan: LevelPlan) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_PLAN_COLUMNS)
-        for p in range(level_plan.T):
-            writer.writerow(
-                [
-                    f"{level_plan.t[p]:.12g}",
-                    f"{level_plan.h[p]:.12g}",
-                    int(level_plan.k[p]),
-                    f"{level_plan.m[p]:.12g}",
-                    f"{level_plan.M[p]:.12g}",
-                    f"{level_plan.w2_next[p]:.12g}",
-                    f"{level_plan.B[p]:.12g}",
-                ]
-            )
+        for row in zip(*(getattr(level_plan, name) for name in _PLAN_COLUMNS)):
+            writer.writerow([v if isinstance(v, np.integer) else f"{v:.12g}" for v in row])
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_report(path: Path, cfg: dict, results: dict, timings: dict) -> None:
+    report = dict(schema_version=SCHEMA_VERSION, config=cfg, results=results, timings=timings)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def cmd_tune(cfg: dict, out_dir: Path) -> int:
-    n = _require_int_n(cfg, "tune")
-    sched = _schedule(cfg)
-    task = build_task(cfg, n, cfg["sampling"]["seed"])
-    results: dict[str, dict] = {}
-    timings: dict[str, float] = {}
-    code = 0
-    for method in _methods(cfg):
-        start = time.perf_counter()
-        try:
-            level_plan = plan(task, method, _tuning_config(cfg, n, method), sched)
-        except TuningError as exc:
-            results[method] = {"feasible": False, "error": str(exc)}
-            code = 1
-        else:
-            csv_name = f"plan_{method}.csv"
-            _write_plan_csv(out_dir / csv_name, level_plan)
-            results[method] = {
-                "feasible": True,
-                "total_steps": level_plan.total_steps,
-                "global_bound": global_bound(level_plan),
-                "proxy": level_plan.proxy,
-                "csv": csv_name,
-            }
-        timings[method] = time.perf_counter() - start
-    _write_json(
-        out_dir / "tune.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg,
-            "results": results,
-            "timings": timings,
-        },
-    )
-    return code
 
 
 def _shared_reference(task: Task, count: int, seed: int) -> Callable[[], SampleSet]:
@@ -303,22 +272,34 @@ def _run_cell(
     task: Task,
     sched: Schedule,
     reference: Callable[[], SampleSet],
+    stop_after_plan: bool,
 ) -> dict:
+    """One (n, seed, method) cell: plan, then sample and evaluate unless stop_after_plan.
+
+    A failure is recorded in the returned record, its error prefixed by its
+    class. Keys starting with an underscore (timings, plan, samples) are for
+    the report writers and never reach a report as they are.
+    """
     record: dict = {"n": task.n, "seed": seed, "method": method, "status": "ok", "error": ""}
-    timing: dict[str, float] = {}
-    record["_timings"] = timing
-    try:
-        _check_component_cap(task)  # decided by the config: fail before tuning
-    except ValueError as exc:
-        record.update(status="error", error=f"reference: {exc}")
-        return record
+    timing = record["_timings"] = {}
+    if not stop_after_plan:
+        try:
+            _check_component_cap(task)  # decided by the config: fail before tuning
+        except ValueError as exc:
+            record.update(status="error", error=f"reference: {exc}")
+            return record
     start = time.perf_counter()
     try:
-        level_plan = plan(task, method, tuning, sched)
-        timing["tune_s"] = time.perf_counter() - start
+        try:
+            level_plan = plan(task, method, tuning, sched)
+        finally:
+            timing["tune_s"] = time.perf_counter() - start
+        record["_plan"] = level_plan
         record["total_steps"] = level_plan.total_steps
         record["global_bound"] = global_bound(level_plan)
         record["proxy"] = level_plan.proxy
+        if stop_after_plan:
+            return record
         start = time.perf_counter()
         samples = annealed_sample(
             level_plan, composite_field(task, method, sched), cfg["sampling"]["chains"], seed
@@ -342,41 +323,36 @@ def _run_cell(
     return record
 
 
-def cmd_sample(cfg: dict, out_dir: Path) -> int:
-    n = _require_int_n(cfg, "sample")
-    seed = cfg["sampling"]["seed"]
-    tunings = {method: _tuning_config(cfg, n, method) for method in _methods(cfg)}
-    sched = _schedule(cfg)
-    task = build_task(cfg, n, seed)
-    reference = _shared_reference(task, cfg["sampling"]["chains"], seed)
-    formats = cfg["output"]["formats"]
+def _run(cfg: dict, sched: Schedule, cells: list, tune_only: bool, keep_points: bool) -> list[dict]:
+    """Run every method of every cell in order, one after another, in this thread."""
+    records = []
+    for seed, task, tunings in cells:
+        reference = _shared_reference(task, cfg["sampling"]["chains"], seed)
+        for method, tuning in tunings.items():
+            record = _run_cell(cfg, tuning, method, seed, task, sched, reference, tune_only)
+            if not keep_points:
+                record.pop("_samples", None)  # keep no points alive that no report writes
+            records.append(record)
+    return records
+
+
+def _public(record: dict, *drop: str) -> dict:
+    return {k: v for k, v in record.items() if not k.startswith("_") and k not in drop}
+
+
+def _write_tune(cfg: dict, out_dir: Path, records: list[dict], total_s: float) -> None:
     results: dict[str, dict] = {}
-    timings: dict[str, dict] = {}
-    code = 0
-    for method, tuning in tunings.items():
-        record = _run_cell(cfg, tuning, method, seed, task, sched, reference)
-        timings[method] = record.pop("_timings")
-        samples = record.pop("_samples", None)
+    for record in records:
+        method = record["method"]
         if record["status"] != "ok":
-            code = 1
-        elif samples is not None:
-            record["samples_files"] = _dump_points(
-                out_dir, f"samples_{method}", samples.points, formats
-            )
-        record.pop("n", None)
-        record.pop("seed", None)
-        record.pop("method", None)
-        results[method] = record
-    _write_json(
-        out_dir / "sample.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg,
-            "results": {"seed": seed, "n": n, "methods": results},
-            "timings": timings,
-        },
-    )
-    return code
+            results[method] = {"feasible": False, "error": record["error"]}
+            continue
+        csv_name = f"plan_{method}.csv"
+        _write_plan_csv(out_dir / csv_name, record["_plan"])
+        results[method] = {key: record[key] for key in ("total_steps", "global_bound", "proxy")}
+        results[method].update(feasible=True, csv=csv_name)
+    timings = {record["method"]: record["_timings"]["tune_s"] for record in records}
+    _write_report(out_dir / "tune.json", cfg, results, timings)
 
 
 def _dump_points(out_dir: Path, name: str, points: np.ndarray, formats: list[str]) -> list[str]:
@@ -395,27 +371,20 @@ def _dump_points(out_dir: Path, name: str, points: np.ndarray, formats: list[str
     return written
 
 
-def cmd_sweep(cfg: dict, out_dir: Path) -> int:
-    """Run every (n, seed, method) cell in that order, one after another, in this thread."""
-    n_value = cfg["task"]["n"]
-    n_list = n_value if isinstance(n_value, list) else [n_value]
-    seeds = cfg["sampling"]["seeds"] or [cfg["sampling"]["seed"]]
-    methods = _methods(cfg)
-    tunings = {(n, method): _tuning_config(cfg, n, method) for n in n_list for method in methods}
-    sched = _schedule(cfg)
-    start_all = time.perf_counter()
+def _write_sample(cfg: dict, out_dir: Path, records: list[dict], total_s: float) -> None:
+    methods: dict[str, dict] = {}
+    for record in records:
+        block = methods[record["method"]] = _public(record, "n", "seed", "method")
+        if "_samples" in record:
+            name, points = f"samples_{record['method']}", record["_samples"].points
+            block["samples_files"] = _dump_points(out_dir, name, points, cfg["output"]["formats"])
+    results = {"seed": cfg["sampling"]["seed"], "n": cfg["task"]["n"], "methods": methods}
+    timings = {record["method"]: record["_timings"] for record in records}
+    _write_report(out_dir / "sample.json", cfg, results, timings)
 
-    records = []
-    for n in n_list:
-        for seed in seeds:
-            task = build_task(cfg, n, seed)  # shared by both methods within a cell
-            reference = _shared_reference(task, cfg["sampling"]["chains"], seed)
-            for method in methods:
-                record = _run_cell(cfg, tunings[n, method], method, seed, task, sched, reference)
-                record.pop("_samples", None)
-                record.pop("_timings", None)
-                records.append(record)
 
+def _write_sweep(cfg: dict, out_dir: Path, records: list[dict], total_s: float) -> None:
+    records = [_public(record) for record in records]
     cell_columns = [
         "n",
         "seed",
@@ -434,46 +403,30 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
             writer.writerow({key: record.get(key, "") for key in cell_columns})
 
     summary_rows = []
-    for n in n_list:
-        for method in methods:
-            cell = [r for r in records if r["n"] == n and r["method"] == method]
-            ok = [r for r in cell if r["status"] == "ok"]
-            row = {
-                "n": n,
-                "method": method,
-                "cells": len(cell),
-                "failures": len(cell) - len(ok),
-            }
-            for field in ("total_steps", "final_w2"):
-                values = np.array([r[field] for r in ok], dtype=float)
-                row[f"{field}_mean"] = float(values.mean()) if values.size else ""
-                row[f"{field}_std"] = float(values.std()) if values.size else ""
-            summary_rows.append(row)
-    summary_columns = [
-        "n",
-        "method",
-        "cells",
-        "failures",
-        "total_steps_mean",
-        "total_steps_std",
-        "final_w2_mean",
-        "final_w2_std",
-    ]
+    for n, method in dict.fromkeys((r["n"], r["method"]) for r in records):
+        cell = [r for r in records if r["n"] == n and r["method"] == method]
+        ok = [r for r in cell if r["status"] == "ok"]
+        row = {
+            "n": n,
+            "method": method,
+            "cells": len(cell),
+            "failures": len(cell) - len(ok),
+        }
+        for field in ("total_steps", "final_w2"):
+            values = np.array([r[field] for r in ok], dtype=float)
+            row[f"{field}_mean"] = float(values.mean()) if values.size else ""
+            row[f"{field}_std"] = float(values.std()) if values.size else ""
+        summary_rows.append(row)
     with open(out_dir / "sweep_summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=summary_columns)
+        writer = csv.DictWriter(fh, fieldnames=list(summary_rows[0]))
         writer.writeheader()
         writer.writerows(summary_rows)
 
-    _write_json(
-        out_dir / "sweep.json",
-        {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg,
-            "results": {"cells": records, "summary": summary_rows},
-            "timings": {"total_s": time.perf_counter() - start_all},
-        },
-    )
-    return 0 if all(r["status"] == "ok" for r in records) else 1
+    results = {"cells": records, "summary": summary_rows}
+    _write_report(out_dir / "sweep.json", cfg, results, {"total_s": total_s})
+
+
+_WRITERS = {"tune": _write_tune, "sample": _write_sample, "sweep": _write_sweep}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -502,20 +455,17 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(
             load_config(args.config), seed=args.seed, method=args.method, out=args.out
         )
+        sched, cells = _grid(cfg, args.command)
     except (OSError, ValueError, TypeError) as exc:  # a wrongly typed value is a config error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(cfg["output"]["directory"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        if args.command == "tune":
-            return cmd_tune(cfg, out_dir)
-        if args.command == "sample":
-            return cmd_sample(cfg, out_dir)
-        return cmd_sweep(cfg, out_dir)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tune_only, keep_points = args.command == "tune", args.command == "sample"
+    start = time.perf_counter()
+    records = _run(cfg, sched, cells, tune_only=tune_only, keep_points=keep_points)
+    _WRITERS[args.command](cfg, out_dir, records, time.perf_counter() - start)
+    return 0 if all(record["status"] == "ok" for record in records) else 1
 
 
 if __name__ == "__main__":

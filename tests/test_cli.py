@@ -99,6 +99,17 @@ def test_main_rejects_bad_config(tmp_path, capsys, monkeypatch):
             ("sweep", {"task": {"n": [None, 2]}}),
             ("sample", {"task": {"likelihood": {"random_spd": {"eig_range": None}}}}),
             ("sample", {"output": {"formats": 3}}),
+            # array-valued task parameters, a list n outside sweep and bad
+            # tuning targets are refused before the output directory exists
+            ("tune", {"task": {"kind": "gmm_prior", "prior": {"scales": None}}}),
+            ("tune", {"task": {"kind": "gmm_likelihood", "likelihood_mixture": {"weights": None}}}),
+            ("tune", {"task": {"likelihood": {"cov": [[1, None], [0, 1]]}}}),
+            ("sample", {"task": {"n": [2, 3]}}),
+            ("sweep", {"tuning": {"gamma": -1}}),
+            # schedule values, a t_floor not below 1/T and no chains are refused there too
+            ("sample", {"schedule": {"beta_min": -1}}),
+            ("tune", {"tuning": {"T": 200000}}),
+            ("sample", {"sampling": {"chains": 0}}),
         )
     ):
         path = _write_cfg(tmp_path / f"typed{i}.json", bad)
@@ -160,6 +171,50 @@ def test_tune_infeasible_exit_code(tmp_path):
         assert report["results"][method]["feasible"] is False
         assert "level" in report["results"][method]["error"]
     assert not (out / "plan_geffner.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "exc, prefix",
+    [
+        (TuningError("level 1 (t=0.1): no step size meets the bias budget"), "tuning:"),
+        (np.linalg.LinAlgError("composed precision is indefinite"), "numerical:"),
+    ],
+    ids=["tuning", "numerical"],
+)
+def test_tune_records_failure_classes(tmp_path, monkeypatch, exc, prefix):
+    # a failed plan is a failed cell (exit 1), with the class prefix that
+    # sample and sweep rows carry; LinAlgError is a ValueError, not a config error
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "plan", fail)
+    path = _write_cfg(tmp_path / "cfg.json", BASE)
+    out = tmp_path / "run"
+    assert main(["tune", "--config", path, "--out", str(out)]) == 1
+    report = json.loads((out / "tune.json").read_text())
+    for method in ("geffner", "linhart"):
+        assert report["results"][method] == {"feasible": False, "error": f"{prefix} {exc}"}
+        assert report["timings"][method] >= 0
+    assert not (out / "plan_geffner.csv").exists()
+
+
+def test_tune_stops_after_plan(tmp_path, monkeypatch):
+    # 2^13 joint components exceed the exact reference's cap, but tune never
+    # builds the reference, the field or the chains, so it plans both methods
+    def fail(*args, **kwargs):
+        raise AssertionError("tune must stop after plan")
+
+    for name in ("annealed_sample", "composite_field", "exact_posterior_sample"):
+        monkeypatch.setattr(cli, name, fail)
+    cfg = {"task": {"kind": "gmm_likelihood", "dim": 2, "n": 13}, "sampling": {"chains": 64}}
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    out = tmp_path / "run"
+    assert main(["tune", "--config", path, "--out", str(out)]) == 0
+    report = json.loads((out / "tune.json").read_text())
+    for method in ("geffner", "linhart"):
+        assert report["results"][method]["feasible"] is True
+        rows = _read_csv(out / f"plan_{method}.csv")
+        assert report["results"][method]["total_steps"] == sum(int(r["k"]) for r in rows)
 
 
 def test_tune_mixture_prior_marks_proxy(tmp_path):

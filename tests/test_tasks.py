@@ -298,23 +298,15 @@ def test_observation_count_property():
     assert template.n == 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    kind=st.sampled_from(KINDS),
-    d=st.integers(1, 6),
-    n=st.integers(1, 8),
-    log10_cond=st.floats(0.0, 3.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_posterior_mixture_matches_precision_form_bayes(kind, d, n, log10_cond, seed):
-    rng = np.random.default_rng(seed)
+def _random_task(kind: str, d: int, n: int, log10_cond: float, rng: np.random.Generator):
+    """A random task whose SPD likelihood matrix has condition number 10**log10_cond, and the
+    (weight, prior mean, prior cov, likelihood cov) of each of its components."""
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     eigs = 10.0 ** (rng.uniform(-1.5, 0.0) + log10_cond * np.linspace(0.0, 1.0, d))
     sigma = 0.5 * ((q * eigs) @ q.T + ((q * eigs) @ q.T).T)
     obs = 2.0 * rng.standard_normal((n, d))
     w = rng.uniform(0.1, 0.9)
     eye = np.eye(d)
-    # (weight, prior mean, prior cov, likelihood cov) of each component
     if kind == "gaussian":
         task = gaussian_task(sigma, obs)
         comps = [(1.0, np.zeros(d), eye, sigma)]
@@ -326,6 +318,20 @@ def test_posterior_mixture_matches_precision_form_bayes(kind, d, n, log10_cond, 
         scales = rng.uniform(0.2, 3.0, 2)
         task = gmm_likelihood_task(obs, base_cov=sigma, cov_scales=scales, weights=(w, 1.0 - w))
         comps = [(wk, np.zeros(d), eye, scales[k] * sigma) for k, wk in enumerate((w, 1.0 - w))]
+    return task, comps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    d=st.integers(1, 6),
+    n=st.integers(1, 8),
+    log10_cond=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_posterior_mixture_matches_precision_form_bayes(kind, d, n, log10_cond, seed):
+    task, comps = _random_task(kind, d, n, log10_cond, np.random.default_rng(seed))
+    obs = task.observations
     for i in range(n):
         x = obs[i]
         log_w, means, covs = [], [], []
@@ -412,3 +418,26 @@ def test_mixture_kernel_matches_component_loop(K, n, d, log10_cond, seed):
         scale = np.abs(ref_scores).max()
         np.testing.assert_allclose(scores, ref_scores, rtol=1e-9, atol=1e-9 * scale)
     assert logits.max() < -745.0  # exp of every far-tail component log density is 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    d=st.integers(1, 5),
+    n=st.integers(1, 6),
+    log10_cond=st.floats(0.0, 3.0),
+    t=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scores_match_log_density_gradients_on_random_tasks(sched, kind, d, n, log10_cond, t, seed):
+    # the analytic scores are the gradients of the analytic log densities on
+    # random SPD likelihoods with condition number up to 1e3, at random times
+    rng = np.random.default_rng(seed)
+    task, _ = _random_task(kind, d, n, log10_cond, rng)
+    for theta in 1.5 * rng.standard_normal((3, d)):
+        grad = fd_grad(lambda p: prior_log_density(task, p, t, sched), theta)
+        assert prior_score(task, theta, t, sched) == pytest.approx(grad, rel=1e-5, abs=1e-8)
+        i = int(rng.integers(n))
+        grad = fd_grad(lambda p: posterior_log_density(task, i, p, t, sched), theta)
+        score = individual_posterior_score(task, i, theta, t, sched)
+        assert score == pytest.approx(grad, rel=1e-5, abs=1e-8)
