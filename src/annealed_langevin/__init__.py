@@ -9,7 +9,6 @@ the result against exact reference samples.
 from __future__ import annotations
 
 from .composite import (
-    METHODS,
     CompositeSpec,
     compose_dsm_error,
     composite_field,
@@ -41,6 +40,7 @@ from .tasks import (
     simulate_observations,
 )
 from .theory import (
+    METHODS,
     BridgingConstants,
     bridging_moments,
     compose_gaussians,

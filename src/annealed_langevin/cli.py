@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .composite import METHODS, compose_dsm_error, composite_field
+from .composite import compose_dsm_error, composite_field
 from .metrics import empirical_w2
 from .sampler import DivergenceError, SampleSet, annealed_sample
 from .schedule import Schedule, levels
@@ -34,6 +34,7 @@ from .tasks import (
     gmm_prior_task,
     simulate_observations,
 )
+from .theory import METHODS
 from .tuner import LevelPlan, TuningConfig, TuningError, global_bound, plan
 
 __all__ = ["SCHEMA_VERSION", "load_config", "resolve_config", "build_task", "main"]
@@ -193,9 +194,8 @@ def build_task(cfg: dict, n: int, cell_seed: int) -> Task:
         )
     else:
         like = task_cfg["likelihood"]
-        if like["cov"] is not None:
-            cov = np.asarray(like["cov"], dtype=float)
-        else:
+        cov = like["cov"]  # gaussian_task and gmm_prior_task convert it; Task checks it
+        if cov is None:
             cov = _random_spd(
                 dim, like["random_spd"]["eig_range"], _key_rng(data_seed, cell_seed)
             )

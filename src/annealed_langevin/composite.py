@@ -10,13 +10,14 @@ Two aggregation methods are implemented:
   Lambda_t = sum_i Sigma_{t,i}^{-1} + (1-n) Sigma_{t,lambda}^{-1}.
 
 With exact Gaussian proxies the linhart field reproduces the score of the
-diffused multi-observation posterior exactly.
+diffused multi-observation posterior exactly. On the gaussian task kind either
+aggregation is the score of the method's bridging Gaussian (theory.proxy_bridge).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -36,9 +37,9 @@ from .tasks import (
     gaussian_proxies,
     prior_dist,
 )
+from .theory import _check_method, proxy_bridge
 
 __all__ = [
-    "METHODS",
     "CompositeSpec",
     "spec_for_task",
     "geffner_score",
@@ -46,14 +47,6 @@ __all__ = [
     "compose_dsm_error",
     "composite_field",
 ]
-
-METHODS = ("geffner", "linhart")
-
-
-def _check_method(method: str) -> str:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    return method
 
 
 @dataclass(frozen=True)
@@ -193,28 +186,27 @@ def compose_dsm_error(eps_prior: float, eps_post: float, n: int, method: str) ->
 # Fast per-level fields for the sampler
 
 
-def _affine_probe(field: Callable[[np.ndarray, float], np.ndarray], t: float, d: int):
-    """Collapse an affine score field to theta @ M + b via basis probes."""
-    b = field(np.zeros((1, d)), t)[0]
-    M = (field(np.eye(d), t) - b).T
-
-    def affine(theta: np.ndarray, t_arg: float) -> np.ndarray:
-        return theta @ M + b
-
-    return affine
-
-
 def composite_field(task: Task, method: str, s: Schedule):
     """Level-score factory for annealed sampling: (level_index, t) -> ScoreField.
 
-    Per level, the mixture kernels (_prepare) and the folded linhart weights
-    are set up once; the gaussian kind additionally collapses to an affine
-    map so each Langevin step is a single matrix multiply.
+    On the gaussian kind each level's field is the score (mu_t - theta) P_t of the
+    method's bridge N(mu_t, P_t^-1) from proxy_bridge, one matrix product per step.
+    On the mixture kinds the mixture kernels (_prepare) and the folded linhart
+    weights are set up once per level.
     """
     _check_method(method)
     if task.n < 1:
         raise ValueError("need at least one observation")
     base_post = _conjugate_update(task, task.observations[:, None])
+    if task.kind == "gaussian":
+        proxies = _proxies(task, base_post)
+
+        def bridge_factory(level_index: int, t: float) -> ScoreField:
+            bridge = proxy_bridge(*proxies, method, [t], s)[0]
+            mean, prec = bridge.mean, _spd_inverse(bridge.cov, "bridge covariance")
+            return lambda theta, t_arg: (mean - theta) @ prec
+
+        return bridge_factory
     base_prior = prior_dist(task)._params() if task.kind == "gmm_prior" else None
     spec = None
     if method == "linhart":  # proxies from the same conjugate update as the mixtures
@@ -234,8 +226,6 @@ def composite_field(task: Task, method: str, s: Schedule):
                 pscore = _mixture_scores(prior, theta)[0][0]
             return _aggregate(method, pscore, scores, weights)
 
-        if task.kind == "gaussian":
-            return _affine_probe(score_field, t, task.dim)
         return score_field
 
     return factory

@@ -60,6 +60,8 @@ def _as_spd(cov: np.ndarray, name: str) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2]:
         raise ValueError(f"{name} must be a square matrix")
+    if not np.isfinite(cov).all():  # first: a NaN also fails the symmetry test below
+        raise ValueError(f"{name} has non-finite entries {np.argwhere(~np.isfinite(cov)).tolist()}")
     symmetric = np.isclose(cov, np.swapaxes(cov, -1, -2), rtol=1e-10, atol=1e-12).all((-2, -1))
     try:
         if symmetric.all():

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .composite import _check_method
 from .schedule import Schedule, alpha as schedule_alpha, v as schedule_v
 from .tasks import GaussianDist, Task, _compose_rule, _spd_inverse, gaussian_proxies
 
 __all__ = [
+    "METHODS",
     "BridgingConstants",
     "bridging_moments",
     "compose_gaussians",
@@ -29,8 +29,16 @@ __all__ = [
     "gaussian_w2",
 ]
 
+METHODS = ("geffner", "linhart")
+
 _EIG_CLAMP = 1e-12
 _COMMUTE_TOL = 1e-10
+
+
+def _check_method(method: str) -> str:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return method
 
 
 @dataclass(frozen=True)

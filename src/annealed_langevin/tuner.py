@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import _check_method
 from .schedule import Schedule, levels
 from .tasks import Task, gaussian_proxies
 from .theory import bridging_moments  # noqa: F401  (perfbench/worker.py looks it up here)
-from .theory import gaussian_w2, proxy_bridge
+from .theory import _check_method, gaussian_w2, proxy_bridge
 
 __all__ = [
     "TuningError",

@@ -125,6 +125,17 @@ def test_main_rejects_bad_config(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "3").exists()
 
 
+def test_null_in_likelihood_cov_is_named_non_finite(tmp_path, capsys):
+    # a null becomes NaN, which also fails the symmetry test; the error names the entry
+    cfg = {"task": {"likelihood": {"cov": [[None, 0], [0, 1]]}}}
+    path = _write_cfg(tmp_path / "null.json", cfg)
+    out = tmp_path / "out"
+    assert main(["tune", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "likelihood_cov has non-finite entries [[0, 0]]" in err and "symmetric" not in err
+    assert not out.exists()
+
+
 def test_tune_writes_plans_and_report(tmp_path):
     path = _write_cfg(tmp_path / "cfg.json", BASE)
     out = tmp_path / "run"

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annealed_langevin import (
     CompositeSpec,
@@ -104,6 +106,28 @@ def test_linhart_score_matches_solved_precision_weighting(seed, sched):
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    n=st.integers(1, 40),
+    log10_lo=st.floats(-2.0, 0.5),
+    log10_cond=st.floats(0.0, 3.0),
+    t=st.floats(1e-5, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lambda_is_spd_on_gaussian_tasks(sched, d, n, log10_lo, log10_cond, t, seed):
+    # exact proxies compose to the joint posterior precision, so Lambda_t is
+    # SPD and _level_weights' Cholesky, which raises on an indefinite one,
+    # succeeds; the folded weights then sum to Lambda_t Lambda_t^-1 = I
+    rng = np.random.default_rng(seed)
+    lo = 10.0**log10_lo
+    task = gaussian_task(rand_spd(rng, d, lo, lo * 10.0**log10_cond), rng.standard_normal((n, d)))
+    spec = spec_for_task(task, "linhart", sched)
+    prior_weight, post_weight = composite._level_weights(spec, t)
+    total = prior_weight + post_weight.reshape(n, d, d).sum(axis=0)
+    np.testing.assert_allclose(total, np.eye(d), rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("flaw", ["asymmetric", "indefinite"])
 def test_stacked_covariance_checks_reach_the_last_matrix(flaw, sched):
     covs = np.tile(np.eye(2), (4, 1, 1))
@@ -118,12 +142,14 @@ def test_stacked_covariance_checks_reach_the_last_matrix(flaw, sched):
 @pytest.mark.parametrize("method", ["geffner", "linhart"])
 @pytest.mark.parametrize("kind", ["gaussian", "gmm_prior"])
 def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
-    # one conjugate update feeds both the field's mixtures and the linhart
-    # proxies, and the time-0 proxy covariances are inverted once, not per level
+    # one conjugate update feeds the field's mixtures or bridges and the linhart
+    # proxies; on mixture kinds the time-0 proxy covariances are inverted once,
+    # not per level, and the gaussian field inverts each level's bridge
+    # covariance once and never sets up a mixture kernel
     rng = np.random.default_rng(5)
     make = gaussian_task if kind == "gaussian" else gmm_prior_task
     task = make(rand_spd(rng, 2, 0.2, 1.0), rng.standard_normal((6, 2)))
-    calls = {"update": 0, "inverse": 0}
+    calls = {"update": 0, "inverse": 0, "prepare": 0}
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -136,10 +162,14 @@ def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
     monkeypatch.setattr(tasks, "_conjugate_update", update)
     monkeypatch.setattr(composite, "_conjugate_update", update)
     monkeypatch.setattr(composite, "_spd_inverse", counted("inverse", composite._spd_inverse))
+    monkeypatch.setattr(composite, "_prepare", counted("prepare", composite._prepare))
     factory = composite_field(task, method, sched)
     for p, t in enumerate(levels(sched, 10)[:-1]):
         factory(p, float(t))(rng.standard_normal((3, 2)), float(t))
-    assert calls == {"update": 1, "inverse": 1 if method == "linhart" else 0}
+    if kind == "gaussian":
+        assert calls == {"update": 1, "inverse": 10, "prepare": 0}
+    else:
+        assert calls == {"update": 1, "inverse": 1 if method == "linhart" else 0, "prepare": 20}
 
 
 def test_gaussian_consistency_linhart_equals_joint(sched):
@@ -219,10 +249,18 @@ def test_compose_dsm_error_oracle():
         compose_dsm_error(0.1, 0.2, 3, "other")
 
 
-@pytest.mark.parametrize("method", ["geffner", "linhart"])
-def test_field_factory_matches_direct_composition_gaussian(method, sched):
+# d=10, n=30 with likelihood eigenvalues in [0.02, 0.1] is the benchmark's gaussian cell;
+# its scores reach 2,600 at t=1e-5, so its bound is scaled by the largest score
+@pytest.mark.parametrize(
+    "method, d, n, lo, scaled",
+    [pytest.param(m, 2, 4, 0.2, False, id=m) for m in ("geffner", "linhart")]
+    + [pytest.param(m, 10, 30, 0.02, True, id=f"{m}-d10-n30") for m in ("geffner", "linhart")],
+)
+def test_field_factory_matches_direct_composition_gaussian(method, d, n, lo, scaled, sched):
+    # the gaussian field is built from the bridge, so this is the check that the
+    # mixture-kernel aggregation of the exact scores gives that same field
     rng = np.random.default_rng(4)
-    task = gaussian_task(rand_spd(rng, 2, 0.2, 1.0), rng.standard_normal((4, 2)))
+    task = gaussian_task(rand_spd(rng, d, lo, 5.0 * lo), rng.standard_normal((n, d)))
     spec = spec_for_task(task, method, sched)
     factory = composite_field(task, method, sched)
     prior = lambda th, t: prior_score(task, th, t, sched)
@@ -233,8 +271,10 @@ def test_field_factory_matches_direct_composition_gaussian(method, sched):
     compose = geffner_score if method == "geffner" else linhart_score
     for t in (1e-5, 0.3, 0.9):
         field = factory(0, t)
-        theta = rng.standard_normal((8, 2)) * 1.5
-        assert field(theta, t) == pytest.approx(compose(spec, prior, posts, theta, t), abs=1e-9)
+        theta = rng.standard_normal((8, d)) * 1.5
+        ref = compose(spec, prior, posts, theta, t)
+        atol = 1e-9 * max(1.0, np.abs(ref).max()) if scaled else 1e-9
+        assert field(theta, t) == pytest.approx(ref, abs=atol)
 
 
 @pytest.mark.parametrize("method", ["geffner", "linhart"])
