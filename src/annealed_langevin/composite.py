@@ -30,9 +30,9 @@ from .tasks import (
     _compose_rule,
     _conjugate_update,
     _diffuse_stacked,
-    _mixture_scores,
     _prepare,
     _proxies,
+    _responsibilities,
     _spd_inverse,
     gaussian_proxies,
     prior_dist,
@@ -89,41 +89,31 @@ def spec_for_task(task: Task, method: str, s: Schedule) -> CompositeSpec:
 
 
 def _level_weights(spec: CompositeSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Linhart weights at level t, folded so the aggregation is one product.
+    """The rule's weights at level t: the composite score is s_0 W_0 + sum_i s_i W_i.
 
-    With the backward-kernel precisions P_{t,i} = P_i + (alpha_t/v_t) I and
-    Lambda_t = P_c + (alpha_t/v_t) I, returns the prior's (1-n) P_{t,0}
-    Lambda_t^{-1} (d, d) and W_t = stack_i(P_{t,i} Lambda_t^{-1}) (n*d, d). The
-    Cholesky factor of Lambda_t is the check: an indefinite Lambda_t is a
-    linear-algebra error, and nothing is regularized.
+    Scores are row vectors. geffner has W_0 = (1-n) I and W_i = I. linhart,
+    with the backward-kernel precisions P_{t,i} = P_i + (alpha_t/v_t) I and
+    Lambda_t = P_c + (alpha_t/v_t) I, has W_0 = (1-n) P_{t,0} Lambda_t^{-1} and
+    W_i = P_{t,i} Lambda_t^{-1} (P, Lambda symmetric: Lambda^-1 P s' = (s P Lambda^-1)').
+    Returns W_0 (d, d) and the W_i (n, d, d). The Cholesky factor of Lambda_t
+    is the check: an indefinite Lambda_t is a linear-algebra error, and nothing
+    is regularized.
     """
+    d = spec.prior_cov.shape[0]
+    if spec.method == "geffner":
+        eye = np.eye(d)
+        return (1 - spec.n) * eye, np.broadcast_to(eye, (spec.n, d, d))
     a = schedule_alpha(spec.sched, t)
     noise = 1.0 - a
     if noise <= 0:
         raise ValueError("backward-kernel weights need t > 0")
-    d = spec.prior_cov.shape[0]
     shrink = (a / noise) * np.eye(d)
     try:
         lam_factor = cho_factor(spec.composed_prec + shrink, lower=True)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"lambda matrix is not positive definite at t={t:g}") from exc
     weights = (spec.precs + shrink) @ cho_solve(lam_factor, np.eye(d))  # prior first
-    return (1 - spec.n) * weights[0], weights[1:].reshape(spec.n * d, d)
-
-
-def _aggregate(
-    method: str, prior_score: np.ndarray, post_scores: np.ndarray, weights
-) -> np.ndarray:
-    """The composite score from the prior score (N, d) and the posterior scores (n, N, d).
-
-    weights is _level_weights' output for linhart and unused by geffner.
-    """
-    if method == "geffner":
-        return _compose_rule(prior_score, post_scores)
-    prior_weight, post_weight = weights  # P, Lambda symmetric: Lambda^-1 P s = (s' P Lambda^-1)'
-    n, N, d = post_scores.shape
-    stacked = np.swapaxes(post_scores, 1, 2).reshape(n * d, N)  # a view for kernel output
-    return prior_score @ prior_weight + (post_weight.T @ stacked).T
+    return (1 - spec.n) * weights[0], weights[1:]
 
 
 def _compose(
@@ -134,15 +124,18 @@ def _compose(
     theta: np.ndarray,
     t: float,
 ) -> np.ndarray:
-    """Evaluate the fields at theta and aggregate them as composite_field's fields do."""
+    """Evaluate the fields at theta and aggregate them with the rule's _level_weights."""
+    if spec.method != method:
+        raise ValueError(f"{method}_score needs a {method} spec, got {spec.method!r}")
     if len(post_scores) != spec.n:
         raise ValueError(f"expected {spec.n} posterior score fields, got {len(post_scores)}")
     theta = np.asarray(theta, dtype=float)
     d = theta.shape[-1]
     prior = np.asarray(prior_score(theta, t), dtype=float).reshape(-1, d)
     posts = np.array([np.asarray(f(theta, t), dtype=float).reshape(-1, d) for f in post_scores])
-    weights = _level_weights(spec, t) if method == "linhart" else None
-    return _aggregate(method, prior, posts, weights).reshape(theta.shape)
+    prior_weight, post_weights = _level_weights(spec, t)
+    out = prior @ prior_weight + np.matmul(posts, post_weights).sum(axis=0)
+    return out.reshape(theta.shape)
 
 
 def geffner_score(
@@ -191,15 +184,15 @@ def composite_field(task: Task, method: str, s: Schedule):
 
     On the gaussian kind each level's field is the score (mu_t - theta) P_t of the
     method's bridge N(mu_t, P_t^-1) from proxy_bridge, one matrix product per step.
-    On the mixture kinds the mixture kernels (_prepare) and the folded linhart
-    weights are set up once per level.
+    On the mixture kinds each level's posterior and prior components are set
+    up once (_prepare) with the rule's weights folded in (_folded_field).
     """
     _check_method(method)
     if task.n < 1:
         raise ValueError("need at least one observation")
     base_post = _conjugate_update(task, task.observations[:, None])
+    proxies = _proxies(task, base_post)
     if task.kind == "gaussian":
-        proxies = _proxies(task, base_post)
 
         def bridge_factory(level_index: int, t: float) -> ScoreField:
             bridge = proxy_bridge(*proxies, method, [t], s)[0]
@@ -207,25 +200,46 @@ def composite_field(task: Task, method: str, s: Schedule):
             return lambda theta, t_arg: (mean - theta) @ prec
 
         return bridge_factory
-    base_prior = prior_dist(task)._params() if task.kind == "gmm_prior" else None
-    spec = None
-    if method == "linhart":  # proxies from the same conjugate update as the mixtures
-        prior, _, post_covs = _proxies(task, base_post)
-        spec = CompositeSpec(method, task.n, post_covs, prior.cov, s)
+    # the proxies come from the same conjugate update as the mixtures
+    spec = CompositeSpec(method, task.n, proxies[2], proxies[0].cov, s)
+    base_prior = prior_dist(task)._params()
 
     def factory(level_index: int, t: float) -> ScoreField:
         post = _prepare(*_diffuse_stacked(*base_post, t, s))
-        prior = None if base_prior is None else _prepare(*_diffuse_stacked(*base_prior, t, s))
-        weights = None if spec is None else _level_weights(spec, t)
-
-        def score_field(theta: np.ndarray, t_arg: float) -> np.ndarray:
-            scores, _ = _mixture_scores(post, theta)  # (n, N, d)
-            if prior is None:
-                pscore = -theta  # the standard normal prior diffuses to itself
-            else:
-                pscore = _mixture_scores(prior, theta)[0][0]
-            return _aggregate(method, pscore, scores, weights)
-
-        return score_field
+        prior = _prepare(*_diffuse_stacked(*base_prior, t, s))
+        return _folded_field(post, prior, *_level_weights(spec, t))
 
     return factory
+
+
+def _folded_field(post, prior, prior_weight: np.ndarray, post_weights: np.ndarray) -> ScoreField:
+    """One level's composite score as sum_j r_j(theta) (c_j - theta M_j).
+
+    post and prior are _prepare'd mixtures: the n per-observation posteriors
+    and the prior. Component j pairs mixture i with its component k, and the
+    rule's weight W_i is folded into it: c_j = b_ik W_i and M_j = P_k W_i, the
+    prior's components taking W_0. A call computes the responsibilities of all
+    J = nK + K_0 components into one (J, N) array R, then C' R and M' R in one
+    product, and subtracts theta contracted with M' R.
+    """
+    d = prior_weight.shape[0]
+    parts = ((post, post_weights), (prior, prior_weight[None]))
+    groups = [rows.shape[:2] for (_, rows), _ in parts]  # (K, n), then (K_0, 1)
+    rows, c, m = [], [], []
+    for (precs, part_rows), w in parts:
+        rows.append(part_rows.reshape(-1, part_rows.shape[-1]))
+        c.append(np.einsum("kni,nij->knj", part_rows[:, :, 1 : d + 1], w).reshape(-1, d))
+        m.append(np.einsum("kab,nbc->knac", precs, w).reshape(-1, d * d))
+    rows = np.concatenate(rows)
+    # (d + d^2, J): the c_j, then the flattened M_j
+    folded = np.concatenate([np.concatenate(c), np.concatenate(m)], axis=1).T.copy()
+
+    def score_field(theta: np.ndarray, t_arg: float) -> np.ndarray:
+        theta_t = np.ascontiguousarray(theta.T)
+        resp, _ = _responsibilities(rows, theta_t, groups)
+        out = folded @ resp
+        score = out[:d]
+        score -= np.einsum("abn,an->bn", out[d:].reshape(d, d, -1), theta_t)
+        return score.T
+
+    return score_field

@@ -71,16 +71,18 @@ def ula_chain(
         return start
     pts = np.array(start.points, dtype=float)
     noise_scale = np.sqrt(2.0 * h)
+    step, noise = np.empty_like(pts), np.empty_like(pts)  # reused by every step
     for j in range(k):
         drift = score(pts, t)
         if drift.shape != pts.shape:
             raise ValueError("score output shape does not match the batch")
         if not np.isfinite(drift).all():
             raise DivergenceError("non-finite score output", level=t, step=j)
-        pts += h * drift
-        pts += noise_scale * rng.standard_normal(pts.shape)
-        # NaN fails the comparison too, so one pass catches both failure modes.
-        if not np.all(np.abs(pts) <= _DIVERGENCE_LIMIT):
+        pts += np.multiply(drift, h, out=step)
+        rng.standard_normal(out=noise)
+        pts += np.multiply(noise, noise_scale, out=noise)
+        # max propagates NaN, which fails the comparison too, so one pass catches both
+        if not np.abs(pts, out=step).max() <= _DIVERGENCE_LIMIT:
             raise DivergenceError("chain coordinate exceeded 1e6", level=t, step=j)
     return SampleSet(points=pts, level=t, seed=start.seed, steps_used=start.steps_used + k)
 

@@ -253,9 +253,17 @@ def _checked_weights(weights) -> np.ndarray:
     return w
 
 
+def _matrix(cov) -> np.ndarray:
+    """cov as a float matrix, so its dimension can be read; Task checks the rest."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2:
+        raise ValueError("likelihood_cov must be a square matrix")
+    return cov
+
+
 def gaussian_task(likelihood_cov: np.ndarray, observations: np.ndarray) -> Task:
     """Standard normal prior with likelihood N(x; theta, likelihood_cov)."""
-    cov = np.asarray(likelihood_cov, dtype=float)
+    cov = _matrix(likelihood_cov)
     return Task(kind="gaussian", dim=cov.shape[0], observations=observations, likelihood_cov=cov)
 
 
@@ -267,7 +275,7 @@ def gmm_prior_task(
     prior_weights=(0.5, 0.5),
 ) -> Task:
     """Gaussian-mixture prior (isotropic components) with a Gaussian likelihood."""
-    cov = np.asarray(likelihood_cov, dtype=float)
+    cov = _matrix(likelihood_cov)
     return Task(
         kind="gmm_prior",
         dim=cov.shape[0],
@@ -293,7 +301,7 @@ def gmm_likelihood_task(
     """
     if base_cov is None:
         base_cov = np.diag(np.linspace(0.6, 1.4, dim))
-    cov = np.asarray(base_cov, dtype=float)
+    cov = _matrix(base_cov)
     return Task(
         kind="gmm_likelihood",
         dim=cov.shape[0],
@@ -487,52 +495,77 @@ def _diffuse_stacked(
 
 def _prepare(
     log_w: np.ndarray, means: np.ndarray, covs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Set up n mixtures sharing component covariances once, for _mixture_scores.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Set up n mixtures sharing component covariances once, for _responsibilities.
 
     log_w: (n, K), means: (n, K, d), covs: (K, d, d). One batched Cholesky (the
     SPD check and the log-determinants) and one batched inverse give the
-    precisions P_k (K, d, d), the linear terms b_ik = P_k mu_ik stored
-    component-first (K, n, d), and the constants (K, n)
-    c_ik = log w_ik - mu_ik' P_k mu_ik / 2 - log det C_k / 2 - (d/2) log 2 pi.
+    precisions P_k (K, d, d) and the logit rows (K, n, 1 + d + d^2)
+    [c_ik, b_ik, -vec(P_k)/2], with the linear terms b_ik = P_k mu_ik and the
+    constants c_ik = log w_ik - mu_ik' P_k mu_ik / 2 - log det C_k / 2 - (d/2) log 2 pi.
     """
-    d = covs.shape[-1]
+    n, K, d = means.shape
     logdet = 2.0 * np.log(np.diagonal(np.linalg.cholesky(covs), axis1=-2, axis2=-1)).sum(-1)
     precs = np.linalg.inv(covs)
     precs = 0.5 * (precs + np.swapaxes(precs, -1, -2))
     lin = np.einsum("kij,nkj->kni", precs, means)
     quad = np.einsum("kni,nki->kn", lin, means)
-    return precs, lin, log_w.T - 0.5 * (quad + (logdet + d * _LOG_2PI)[:, None])
+    const = log_w.T - 0.5 * (quad + (logdet + d * _LOG_2PI)[:, None])
+    half_precs = np.broadcast_to(-0.5 * precs.reshape(K, 1, d * d), (K, n, d * d))
+    return precs, np.concatenate([const[:, :, None], lin, half_precs], axis=2)
+
+
+def _responsibilities(
+    rows: np.ndarray, theta_t: np.ndarray, groups: list[tuple[int, int]]
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Softmax responsibilities (J, N) at theta_t (d, N) of components with logit rows (J, F).
+
+    A row [c, b, -vec(P)/2] (F = 1 + d + d^2) has the logit
+    c + b theta - theta' P theta / 2, so every logit comes from one product with
+    the features (1, theta, vec(theta theta')). The rows stack groups of (K, n)
+    components, k-major: n mixtures of K components each. The softmax runs over
+    the K components of each mixture, after shifting the logits by their
+    maximum, so a point far from every component still gets finite values.
+    Returns the responsibilities and, per group, the shift and the normalizer
+    (n, N), whose shift + log(normalizer) is each mixture's log density.
+    """
+    d, N = theta_t.shape
+    feats = np.empty((1 + d + d * d, N))
+    feats[0] = 1.0
+    feats[1 : d + 1] = theta_t
+    np.multiply(theta_t[:, None], theta_t[None], out=feats[d + 1 :].reshape(d, d, N))
+    resp = rows @ feats
+    norms = []
+    start = 0
+    for K, n in groups:
+        logits = resp[start : start + K * n].reshape(K, n, N)
+        top = logits.max(axis=0)
+        logits -= top
+        np.exp(logits, out=logits)
+        total = logits.sum(axis=0)
+        logits /= total
+        norms.append((top, total))
+        start += K * n
+    return resp, norms
 
 
 def _mixture_scores(
-    prepared: tuple[np.ndarray, np.ndarray, np.ndarray], theta: np.ndarray
+    prepared: tuple[np.ndarray, np.ndarray], theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scores and log densities at theta (N, d) of the mixtures _prepare set up.
 
-    The logits (K, n, N) = b theta' - theta' P_k theta / 2 + c are shifted by
-    their maximum over the leading component axis before the softmax, so a
-    point far from every component still gets finite values. Returns
-    (scores (n, N, d), log_pdf (n, N)); the scores are a view of an (n, d, N)
-    array, so every reduction runs along the long chain axis.
+    Returns (scores (n, N, d), log_pdf (n, N)); the scores are a view of an
+    (n, d, N) array, so every reduction runs along the long chain axis.
     """
-    precs, lin, const = prepared
-    theta_t = theta.T
-    prec_theta = precs @ theta_t  # (K, d, N)
-    logits = lin @ theta_t
-    logits -= 0.5 * (prec_theta * theta_t).sum(axis=1)[:, None, :]
-    logits += const[:, :, None]
-    top = logits.max(axis=0)
-    logits -= top
-    resp = np.exp(logits, out=logits)
-    total = resp.sum(axis=0)
-    resp /= total
-    scores = np.matmul(lin.transpose(1, 2, 0), resp.transpose(1, 0, 2))  # sum_k r_k b_k
-    term = np.empty_like(scores)
-    for k in range(len(precs)):
-        scores -= np.multiply(resp[k][:, None, :], prec_theta[k], out=term)
-    top += np.log(total, out=total)
-    return scores.transpose(0, 2, 1), top
+    precs, rows = prepared
+    K, n, F = rows.shape
+    theta_t = np.ascontiguousarray(theta.T)
+    resp, [(top, total)] = _responsibilities(rows.reshape(K * n, F), theta_t, [(K, n)])
+    resp = resp.reshape(K, n, -1)
+    lin = rows[:, :, 1 : theta_t.shape[0] + 1]
+    # sum_k r_ik (b_ik - P_k theta)
+    scores = np.einsum("kna,knc->nca", resp, lin) - np.einsum("kna,kca->nca", resp, precs @ theta_t)
+    return scores.transpose(0, 2, 1), top + np.log(total)
 
 
 def _evaluate(

@@ -104,6 +104,8 @@ def test_main_rejects_bad_config(tmp_path, capsys, monkeypatch):
             ("tune", {"task": {"kind": "gmm_prior", "prior": {"scales": None}}}),
             ("tune", {"task": {"kind": "gmm_likelihood", "likelihood_mixture": {"weights": None}}}),
             ("tune", {"task": {"likelihood": {"cov": [[1, None], [0, 1]]}}}),
+            ("tune", {"task": {"likelihood": {"cov": 3}}}),
+            ("tune", {"task": {"kind": "gmm_likelihood", "likelihood_mixture": {"base_cov": 3}}}),
             ("sample", {"task": {"n": [2, 3]}}),
             ("sweep", {"tuning": {"gamma": -1}}),
             # schedule values, a t_floor not below 1/T and no chains are refused there too

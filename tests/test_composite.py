@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,14 @@ from annealed_langevin import (
     composite_field,
     gaussian_task,
     geffner_score,
+    gmm_likelihood_task,
     gmm_prior_task,
     individual_posterior_score,
     levels,
     linhart_score,
     posterior_moments,
     prior_score,
+    simulate_observations,
     spec_for_task,
 )
 from annealed_langevin import composite, tasks
@@ -43,6 +47,10 @@ def test_spec_validation(sched):
         CompositeSpec("geffner", 0, good, np.eye(2), sched)
     with pytest.raises(ValueError):
         CompositeSpec("geffner", 1, good, np.eye(3), sched)
+    # the weights come from the spec's method, so a spec of the other rule is refused
+    spec = CompositeSpec("linhart", 1, good, np.eye(2), sched)
+    with pytest.raises(ValueError, match="needs a geffner spec"):
+        geffner_score(spec, lambda th, t: -th, [lambda th, t: -th], np.zeros((1, 2)), 0.5)
 
 
 def test_weight_matrices_need_positive_time(sched):
@@ -142,8 +150,8 @@ def test_stacked_covariance_checks_reach_the_last_matrix(flaw, sched):
 @pytest.mark.parametrize("method", ["geffner", "linhart"])
 @pytest.mark.parametrize("kind", ["gaussian", "gmm_prior"])
 def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
-    # one conjugate update feeds the field's mixtures or bridges and the linhart
-    # proxies; on mixture kinds the time-0 proxy covariances are inverted once,
+    # one conjugate update feeds the field's mixtures or bridges and the rule's
+    # spec; on mixture kinds the time-0 proxy covariances are inverted once,
     # not per level, and the gaussian field inverts each level's bridge
     # covariance once and never sets up a mixture kernel
     rng = np.random.default_rng(5)
@@ -169,7 +177,7 @@ def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
     if kind == "gaussian":
         assert calls == {"update": 1, "inverse": 10, "prepare": 0}
     else:
-        assert calls == {"update": 1, "inverse": 1 if method == "linhart" else 0, "prepare": 20}
+        assert calls == {"update": 1, "inverse": 1, "prepare": 20}
 
 
 def test_gaussian_consistency_linhart_equals_joint(sched):
@@ -277,10 +285,27 @@ def test_field_factory_matches_direct_composition_gaussian(method, d, n, lo, sca
         assert field(theta, t) == pytest.approx(ref, abs=atol)
 
 
+@pytest.mark.parametrize(
+    "kind, d, n",  # n=1: the prior weight (1 - n) is zero
+    [
+        pytest.param(kind, d, n, id=f"{kind}-d{d}-n{n}")
+        for kind in ("gmm_prior", "gmm_likelihood")
+        for d in (2, 5)
+        for n in (1, 5, 30)
+    ],
+)
 @pytest.mark.parametrize("method", ["geffner", "linhart"])
-def test_field_factory_matches_direct_composition_mixture(method, sched):
+def test_field_factory_matches_direct_composition_mixture(method, kind, d, n, sched):
+    # the folded field, sum_j r_j (c_j - theta M_j), against the rule applied to
+    # the per-observation posterior scores and the prior score
     rng = np.random.default_rng(14)
-    task = gmm_prior_task(np.eye(2) * 0.1, rng.standard_normal((3, 2)))
+    if kind == "gmm_prior":
+        means = np.zeros((2, d))
+        means[1] = 1.0
+        task = gmm_prior_task(rand_spd(rng, d, 0.05, 0.2), np.zeros((1, d)), prior_means=means)
+    else:
+        task = gmm_likelihood_task(np.zeros((1, d)), np.eye(d), cov_scales=(1.5, 0.5))
+    task = dataclasses.replace(task, observations=simulate_observations(task, n, rng))
     spec = spec_for_task(task, method, sched)
     factory = composite_field(task, method, sched)
     prior = lambda th, t: prior_score(task, th, t, sched)
@@ -289,10 +314,11 @@ def test_field_factory_matches_direct_composition_mixture(method, sched):
         for i in range(task.n)
     ]
     compose = geffner_score if method == "geffner" else linhart_score
-    for t in (0.05, 0.5):
+    for t in (1e-3, 0.05, 0.5):
         field = factory(0, t)
-        theta = rng.standard_normal((6, 2))
-        assert field(theta, t) == pytest.approx(compose(spec, prior, posts, theta, t), abs=1e-9)
+        theta = rng.standard_normal((16, d)) + 0.5
+        ref = compose(spec, prior, posts, theta, t)
+        assert field(theta, t) == pytest.approx(ref, abs=1e-10 * np.abs(ref).max())
 
 
 def test_methods_constant():
