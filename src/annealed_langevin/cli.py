@@ -42,6 +42,7 @@ __all__ = ["SCHEMA_VERSION", "load_config", "resolve_config", "build_task", "mai
 SCHEMA_VERSION = 1
 
 _PLAN_COLUMNS = ("t", "h", "k", "m", "M", "w2_next", "B")
+_FORMATS = ("csv", "json", "npy")
 
 
 def _default_config() -> dict:
@@ -148,13 +149,15 @@ def resolve_config(
     if not isinstance(output["directory"], str):
         raise ValueError("output.directory must be a string")
     formats = output["formats"]
-    if not isinstance(formats, list) or not all(isinstance(f, str) for f in formats):
-        raise ValueError("output.formats must be a list of strings")
+    if not isinstance(formats, list) or not all(f in _FORMATS for f in formats):
+        raise ValueError(f"output.formats must be a list drawn from {', '.join(_FORMATS)}")
     sampling["chains"], sampling["seed"] = int(sampling["chains"]), int(sampling["seed"])
     if sampling["chains"] < 1:
         raise ValueError("sampling.chains must be at least 1")
     if sampling["seeds"] is not None:
         sampling["seeds"] = [int(s) for s in sampling["seeds"]]
+        if not sampling["seeds"]:
+            raise ValueError("sampling.seeds list must be nonempty")
     return cfg
 
 

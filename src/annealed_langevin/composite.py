@@ -10,7 +10,7 @@ Two aggregation methods are implemented:
   Lambda_t = sum_i Sigma_{t,i}^{-1} + (1-n) Sigma_{t,lambda}^{-1}.
 
 With exact Gaussian proxies the linhart field reproduces the score of the
-diffused multi-observation posterior exactly. On the gaussian task kind either
+diffused multi-observation posterior exactly. On a one-component task either
 aggregation is the score of the method's bridging Gaussian (theory.proxy_bridge).
 """
 
@@ -182,9 +182,9 @@ def compose_dsm_error(eps_prior: float, eps_post: float, n: int, method: str) ->
 def composite_field(task: Task, method: str, s: Schedule):
     """Level-score factory for annealed sampling: (level_index, t) -> ScoreField.
 
-    On the gaussian kind each level's field is the score (mu_t - theta) P_t of the
-    method's bridge N(mu_t, P_t^-1) from proxy_bridge, one matrix product per step.
-    On the mixture kinds each level's posterior and prior components are set
+    On a one-component task each level's field is the score (mu_t - theta) P_t of
+    the method's bridge N(mu_t, P_t^-1) from proxy_bridge, one matrix product per
+    step. On a mixture each level's posterior and prior components are set
     up once (_prepare) with the rule's weights folded in (_folded_field).
     """
     _check_method(method)
@@ -192,7 +192,7 @@ def composite_field(task: Task, method: str, s: Schedule):
         raise ValueError("need at least one observation")
     base_post = _conjugate_update(task, task.observations[:, None])
     proxies = _proxies(task, base_post)
-    if task.kind == "gaussian":
+    if task.one_component:
 
         def bridge_factory(level_index: int, t: float) -> ScoreField:
             bridge = proxy_bridge(*proxies, method, [t], s)[0]

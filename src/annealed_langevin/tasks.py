@@ -1,15 +1,17 @@
 """Analytic inference problems with exact diffused scores and exact posterior sampling.
 
-Three task kinds are supported:
+Every task is one conjugate model: a prior sum_k w_k N(mu_k, s_k^2 I) and a
+likelihood sum_j pi_j N(x; theta, c_j Sigma), conditioned on n observations.
+Three named families are built from it:
 
 - ``gaussian``: standard normal prior, Gaussian likelihood N(x; theta, Sigma).
-- ``gmm_prior``: two-component Gaussian-mixture prior, Gaussian likelihood.
-- ``gmm_likelihood``: standard normal prior, two-component mixture likelihood
-  whose components share a base covariance up to scalar variance multipliers.
+- ``gmm_prior``: Gaussian-mixture prior (isotropic components), Gaussian likelihood.
+- ``gmm_likelihood``: standard normal prior, a mixture likelihood whose
+  components share a base covariance up to scalar variance multipliers.
 
 Every per-observation posterior is a finite Gaussian mixture, so diffused
 scores, moments and ground-truth joint samples are all available in closed
-form.
+form. The family name is a label: every computation reads the model.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .schedule import Schedule, alpha as schedule_alpha
 
 __all__ = [
     "KINDS",
-    "ScoreField",
     "GaussianDist",
     "GaussianMixture",
     "Task",
@@ -126,6 +127,9 @@ class GaussianDist:
     def dim(self) -> int:
         return self.mean.size
 
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.mean, self.cov
+
     def _params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """This distribution as a stack of one one-component mixture, for _prepare."""
         return np.zeros((1, 1)), self.mean[None, None, :], self.cov[None, :, :]
@@ -150,15 +154,13 @@ class GaussianMixture:
     covs: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
+        w = _checked_weights(self.weights)
         means = np.asarray(self.means, dtype=float)
         covs = np.asarray(self.covs, dtype=float)
-        if w.ndim != 1 or means.ndim != 2 or covs.ndim != 3:
+        if means.ndim != 2 or covs.ndim != 3:
             raise ValueError("expected weights (K,), means (K, d), covs (K, d, d)")
         if not (w.size == means.shape[0] == covs.shape[0]):
             raise ValueError("component counts disagree")
-        if np.any(w < 0.0) or not math.isclose(float(w.sum()), 1.0, rel_tol=0, abs_tol=1e-9):
-            raise ValueError("mixture weights must be nonnegative and sum to 1")
         _as_spd(covs, "covs")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", means)
@@ -195,17 +197,21 @@ class GaussianMixture:
 
 @dataclass(frozen=True)
 class Task:
-    """One inference problem: prior, likelihood and the conditioning observations."""
+    """One inference problem: the conjugate model and the conditioning observations.
+
+    Every component field defaults to one standard component (prior_means
+    None is zeros((1, dim))); kind names the family and must fit the model.
+    """
 
     kind: str
     dim: int
     observations: np.ndarray  # (n, dim)
-    likelihood_cov: np.ndarray  # (dim, dim) base covariance
-    prior_means: np.ndarray | None = None  # (K, dim), gmm_prior only
-    prior_scales: np.ndarray | None = None  # (K,) component std devs, gmm_prior only
-    prior_weights: np.ndarray | None = None  # (K,), gmm_prior only
-    likelihood_cov_scales: np.ndarray | None = None  # (K,) variance factors, gmm_likelihood only
-    likelihood_weights: np.ndarray | None = None  # (K,), gmm_likelihood only
+    likelihood_cov: np.ndarray  # (dim, dim) base covariance Sigma
+    prior_means: np.ndarray | None = None  # (K, dim)
+    prior_scales: np.ndarray = (1.0,)  # (K,) component std devs
+    prior_weights: np.ndarray = (1.0,)  # (K,)
+    likelihood_cov_scales: np.ndarray = (1.0,)  # (J,) variance factors c_j
+    likelihood_weights: np.ndarray = (1.0,)  # (J,)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -216,34 +222,43 @@ class Task:
         cov = _as_spd(self.likelihood_cov, "likelihood_cov")
         if cov.shape != (self.dim, self.dim):
             raise ValueError("likelihood_cov dimension disagrees with dim")
+        means = np.zeros((1, self.dim)) if self.prior_means is None else self.prior_means
+        means = np.asarray(means, dtype=float)
+        scales = np.asarray(self.prior_scales, dtype=float)
+        weights = _checked_weights(self.prior_weights)
+        if means.ndim != 2 or means.shape[1] != self.dim:
+            raise ValueError("prior_means must be (K, dim)")
+        if scales.shape != (means.shape[0],) or np.any(scales <= 0):
+            raise ValueError("prior_scales must be K positive values")
+        if weights.size != means.shape[0]:
+            raise ValueError("prior component counts disagree")
+        cov_scales = np.asarray(self.likelihood_cov_scales, dtype=float)
+        like_weights = _checked_weights(self.likelihood_weights)
+        if cov_scales.ndim != 1 or np.any(cov_scales <= 0):
+            raise ValueError("likelihood_cov_scales must be positive")
+        if like_weights.size != cov_scales.size:
+            raise ValueError("likelihood component counts disagree")
+        K, J = weights.size, like_weights.size
+        if (K > 1 and self.kind != "gmm_prior") or (J > 1 and self.kind != "gmm_likelihood"):
+            raise ValueError(
+                f"a {self.kind} task cannot have {K} prior and {J} likelihood components"
+            )
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "likelihood_cov", cov)
-        if self.kind == "gmm_prior":
-            means = np.asarray(self.prior_means, dtype=float)
-            scales = np.asarray(self.prior_scales, dtype=float)
-            weights = _checked_weights(self.prior_weights)
-            if means.ndim != 2 or means.shape[1] != self.dim:
-                raise ValueError("prior_means must be (K, dim)")
-            if scales.shape != (means.shape[0],) or np.any(scales <= 0):
-                raise ValueError("prior_scales must be K positive values")
-            if weights.size != means.shape[0]:
-                raise ValueError("prior component counts disagree")
-            object.__setattr__(self, "prior_means", means)
-            object.__setattr__(self, "prior_scales", scales)
-            object.__setattr__(self, "prior_weights", weights)
-        if self.kind == "gmm_likelihood":
-            scales = np.asarray(self.likelihood_cov_scales, dtype=float)
-            weights = _checked_weights(self.likelihood_weights)
-            if scales.ndim != 1 or np.any(scales <= 0):
-                raise ValueError("likelihood_cov_scales must be positive")
-            if weights.size != scales.size:
-                raise ValueError("likelihood component counts disagree")
-            object.__setattr__(self, "likelihood_cov_scales", scales)
-            object.__setattr__(self, "likelihood_weights", weights)
+        object.__setattr__(self, "prior_means", means)
+        object.__setattr__(self, "prior_scales", scales)
+        object.__setattr__(self, "prior_weights", weights)
+        object.__setattr__(self, "likelihood_cov_scales", cov_scales)
+        object.__setattr__(self, "likelihood_weights", like_weights)
 
     @property
     def n(self) -> int:
         return self.observations.shape[0]
+
+    @property
+    def one_component(self) -> bool:
+        """One component on each side: every posterior and bridge is exactly Gaussian."""
+        return self.prior_weights.size == 1 == self.likelihood_weights.size
 
 
 def _checked_weights(weights) -> np.ndarray:
@@ -312,13 +327,17 @@ def gmm_likelihood_task(
     )
 
 
+def _distribution(weights, means, covs) -> GaussianDist | GaussianMixture:
+    """A GaussianDist for one component (its draws make no component choice), else the mixture."""
+    if weights.size == 1:
+        return GaussianDist(means[0], covs[0])
+    return GaussianMixture(weights, means, covs)
+
+
 def prior_dist(task: Task) -> GaussianDist | GaussianMixture:
     """The prior as an explicit distribution object."""
-    if task.kind == "gmm_prior":
-        eye = np.eye(task.dim)
-        covs = np.array([s * s * eye for s in task.prior_scales])
-        return GaussianMixture(task.prior_weights, task.prior_means, covs)
-    return GaussianDist(np.zeros(task.dim), np.eye(task.dim))
+    covs = (task.prior_scales**2)[:, None, None] * np.eye(task.dim)
+    return _distribution(task.prior_weights, task.prior_means, covs)
 
 
 def simulate_observations(task: Task, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -326,11 +345,8 @@ def simulate_observations(task: Task, count: int, rng: np.random.Generator) -> n
     if count < 1:
         raise ValueError("need at least one observation")
     theta_star = prior_dist(task).sample(1, rng)[0]
-    if task.kind == "gmm_likelihood":
-        covs = task.likelihood_cov_scales[:, None, None] * task.likelihood_cov
-        noise = GaussianMixture(task.likelihood_weights, np.zeros(covs.shape[:2]), covs)
-    else:
-        noise = GaussianDist(np.zeros(task.dim), task.likelihood_cov)
+    covs = task.likelihood_cov_scales[:, None, None] * task.likelihood_cov
+    noise = _distribution(task.likelihood_weights, np.zeros(covs.shape[:2]), covs)
     return theta_star + noise.sample(count, rng)
 
 
@@ -347,9 +363,8 @@ def _check_index(task: Task, i: int) -> int:
 def _conjugate_update(task: Task, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Posteriors of r problems, each conditioned on its m observations: x is (r, m, d).
 
-    Every kind is a prior sum_k w_k N(mu_k, s_k^2 I) with a likelihood
-    sum_j pi_j N(x; theta, c_j Sigma): gaussian has K = J = 1, gmm_prior
-    J = 1, and gmm_likelihood K = 1 (mu = 0, s = 1). Component (k, a) pairs
+    The task's model is a prior sum_k w_k N(mu_k, s_k^2 I) with a likelihood
+    sum_j pi_j N(x; theta, c_j Sigma). Component (k, a) pairs
     prior component k with an assignment a of likelihood components to the m
     observations, k-major with the assignments in lexicographic order. Given
     a, prod_i N(x_i; theta, c_{a_i} Sigma) is proportional to
@@ -362,14 +377,8 @@ def _conjugate_update(task: Task, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     covariances (K J^m, d, d); the covariances do not depend on x.
     """
     r, m, d = x.shape
-    if task.kind == "gmm_prior":
-        log_w, mu, s2 = np.log(task.prior_weights), task.prior_means, task.prior_scales**2
-    else:
-        log_w, mu, s2 = np.zeros(1), np.zeros((1, d)), np.ones(1)
-    if task.kind == "gmm_likelihood":
-        log_pi, c = np.log(task.likelihood_weights), task.likelihood_cov_scales
-    else:
-        log_pi, c = np.zeros(1), np.ones(1)
+    log_w, mu, s2 = np.log(task.prior_weights), task.prior_means, task.prior_scales**2
+    log_pi, c = np.log(task.likelihood_weights), task.likelihood_cov_scales
     # (J^m, m), lexicographic: the base-J digits of 0 .. J^m - 1 (J^m = 1 when J = 1)
     assign = np.arange(c.size**m)[:, None] // c.size ** np.arange(m - 1, -1, -1) % c.size
     inv_c = 1.0 / c[assign]
@@ -405,17 +414,11 @@ def posterior_mixture(task: Task, i: int) -> GaussianMixture:
 def posterior_moments(
     task: Task, i: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, GaussianMixture]:
-    """Exact moments (and mixture decomposition) of p(theta | x_i), or of the joint.
+    """Exact moments (and mixture decomposition) of p(theta | x_i), or of the joint (i=None).
 
-    i=None requests the multi-observation posterior, which is only available
-    in closed single-Gaussian form for the gaussian kind; other kinds raise
-    (sample the joint with exact_posterior_sample instead).
+    The joint is the finite mixture joint_posterior_mixture, so it refuses
+    above _COMPONENT_CAP components.
     """
-    if i is None and task.kind != "gaussian":
-        raise NotImplementedError(
-            "joint moments are only closed-form for the gaussian kind; "
-            "use exact_posterior_sample"
-        )
     mixture = joint_posterior_mixture(task) if i is None else posterior_mixture(task, i)
     mean, cov = mixture.moments()
     return mean, cov, mixture
@@ -425,36 +428,33 @@ def gaussian_proxies(task: Task) -> tuple[GaussianDist, np.ndarray, np.ndarray]:
     """Moment-matched Gaussians of the prior and of every single-observation posterior.
 
     Returns the prior proxy and the posterior proxies' means (n, d) and
-    covariances (n, d, d). On the gaussian kind they are the exact densities.
+    covariances (n, d, d). On a one-component task they are the exact densities.
     """
     return _proxies(task, _conjugate_update(task, task.observations[:, None]))
 
 
 def _proxies(task: Task, update) -> tuple[GaussianDist, np.ndarray, np.ndarray]:
     """gaussian_proxies from the posteriors' _conjugate_update output (the caller's)."""
-    prior = prior_dist(task)
-    if isinstance(prior, GaussianMixture):
-        prior = GaussianDist(*prior.moments())
+    prior = GaussianDist(*prior_dist(task).moments())
     log_w, means, covs = update
     return (prior, *_moments(np.exp(log_w), means, covs))
 
 
 def _check_component_cap(task: Task) -> None:
-    """Refuse a joint posterior of more than _COMPONENT_CAP components (K^n for gmm_likelihood)."""
-    if task.kind == "gmm_likelihood":
-        total = task.likelihood_weights.size**task.n
-        if total > _COMPONENT_CAP:
-            raise ValueError(
-                f"joint posterior needs {total} components, above the cap {_COMPONENT_CAP}"
-            )
+    """Refuse a joint posterior of more than _COMPONENT_CAP components (K J^n)."""
+    total = task.prior_weights.size * task.likelihood_weights.size**task.n
+    if total > _COMPONENT_CAP:
+        raise ValueError(
+            f"joint posterior needs {total} components, above the cap {_COMPONENT_CAP}"
+        )
 
 
 def joint_posterior_mixture(task: Task) -> GaussianMixture:
     """Exact finite-mixture form of p(theta | x_{1:n}): the conjugate update of all n observations.
 
-    gaussian: one component. gmm_prior: one per prior component.
-    gmm_likelihood: one per assignment of a likelihood component to each
-    observation, in lexicographic order; refuses above _COMPONENT_CAP.
+    One component per prior component and assignment of a likelihood
+    component to each observation (K J^n), in _conjugate_update's order;
+    refuses above _COMPONENT_CAP.
     """
     if task.n < 1:
         raise ValueError("need at least one observation")

@@ -1,7 +1,7 @@
 """Closed-form Gaussian bridging distributions and their Langevin-relevant constants.
 
 Builds every bridging Gaussian from moment-matched proxies composed by one
-precision rule (exact on the gaussian task kind), and provides the exact
+precision rule (exact on a one-component task), and provides the exact
 scalar log-concavity/smoothness constants of the Gaussian bridges, their
 geffner-minus-linhart gap, and the analytic 2-Wasserstein distance between
 Gaussians.
@@ -59,15 +59,15 @@ class BridgingConstants:
 
 
 def bridging_moments(task: Task, method: str, t: float, s: Schedule) -> GaussianDist:
-    """Exact mean/covariance of the level-t bridging density for a gaussian task.
+    """Exact mean/covariance of the level-t bridging density for a one-component task.
 
     linhart bridges are the diffused multi-observation posterior; geffner
     bridges are the precision-reweighted product of diffused individual
     posteriors against the diffused prior. Both are proxy_bridge over the
-    task's proxies, which are exact on this kind.
+    task's proxies, which are exact when prior and likelihood are Gaussian.
     """
-    if task.kind != "gaussian":
-        raise NotImplementedError("analytic bridging moments require the gaussian task kind")
+    if not task.one_component:
+        raise NotImplementedError("analytic bridging moments require a one-component task")
     return proxy_bridge(*gaussian_proxies(task), method, [t], s)[0]
 
 

@@ -3,8 +3,8 @@
 Given two-sided Hessian constants (m, M) of each bridging density and the
 distance between consecutive bridges, the rule picks the largest step size
 whose bias term stays below omega*gamma and the smallest step count that
-contracts the remaining error below (1-omega)*gamma. Every task kind goes
-through moment-matched Gaussian proxies, which are exact on the gaussian kind.
+contracts the remaining error below (1-omega)*gamma. Every task goes
+through moment-matched Gaussian proxies, which are exact on a one-component task.
 """
 
 from __future__ import annotations
@@ -230,5 +230,5 @@ def plan(task: Task, method: str, cfg: TuningConfig, s: Schedule) -> LevelPlan:
         M=M,
         w2_next=w2_next,
         B=bias,
-        proxy=task.kind != "gaussian",
+        proxy=not task.one_component,
     )

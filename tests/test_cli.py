@@ -99,6 +99,9 @@ def test_main_rejects_bad_config(tmp_path, capsys, monkeypatch):
             ("sweep", {"task": {"n": [None, 2]}}),
             ("sample", {"task": {"likelihood": {"random_spd": {"eig_range": None}}}}),
             ("sample", {"output": {"formats": 3}}),
+            # an unknown output format, and no seeds to sweep, as for an empty task.n list
+            ("sample", {"output": {"formats": ["csv", "parquet"]}}),
+            ("sweep", {"sampling": {"seeds": []}}),
             # array-valued task parameters, a list n outside sweep and bad
             # tuning targets are refused before the output directory exists
             ("tune", {"task": {"kind": "gmm_prior", "prior": {"scales": None}}}),
@@ -125,6 +128,14 @@ def test_main_rejects_bad_config(tmp_path, capsys, monkeypatch):
     assert main(["sample", "--config", path]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "3").exists()
+
+
+def test_unknown_output_format_names_the_known_ones(tmp_path, capsys):
+    path = _write_cfg(tmp_path / "formats.json", {"output": {"formats": ["parquet"]}})
+    out = tmp_path / "out"
+    assert main(["sample", "--config", path, "--out", str(out)]) == 2
+    assert "output.formats must be a list drawn from csv, json, npy" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_null_in_likelihood_cov_is_named_non_finite(tmp_path, capsys):

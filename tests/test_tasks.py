@@ -11,15 +11,21 @@ from scipy.stats import multivariate_normal
 
 from annealed_langevin import (
     KINDS,
+    METHODS,
     GaussianDist,
     GaussianMixture,
     Task,
+    TuningConfig,
+    annealed_sample,
+    bridging_moments,
+    composite_field,
     exact_posterior_sample,
     gaussian_task,
     gmm_likelihood_task,
     gmm_prior_task,
     individual_posterior_score,
     joint_posterior_mixture,
+    plan,
     posterior_log_density,
     posterior_mixture,
     posterior_moments,
@@ -29,7 +35,7 @@ from annealed_langevin import (
     simulate_observations,
 )
 from annealed_langevin import tasks
-from conftest import fd_grad, t_for_v
+from conftest import fd_grad, rand_spd, t_for_v
 
 
 def test_gaussian_single_posterior_oracle():
@@ -91,6 +97,64 @@ def test_joint_component_cap():
         joint_posterior_mixture(gmm_likelihood_task(obs))
 
 
+@pytest.mark.parametrize("kind", ["gmm_prior", "gmm_likelihood"])
+def test_joint_moments_of_mixture_tasks(kind):
+    rng = np.random.default_rng([KINDS.index(kind), 4])
+    cov, obs = rand_spd(rng, 2, 0.1, 0.5), rng.standard_normal((4, 2))
+    task = gmm_prior_task(cov, obs) if kind == "gmm_prior" else gmm_likelihood_task(obs, cov)
+    mean, cov_post, mixture = posterior_moments(task, None)
+    joint = joint_posterior_mixture(task)
+    assert mixture.component_count == joint.component_count > 1
+    for got, expected in zip((mean, cov_post), joint.moments()):
+        np.testing.assert_array_equal(got, expected)
+    # the draws' mean and covariance, within 5 Monte Carlo standard errors
+    draws = exact_posterior_sample(task, 200_000, seed=7).points
+    count = len(draws)
+    centered = draws - mean
+    assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * draws.std(axis=0) / np.sqrt(count))
+    products = centered[:, :, None] * centered[:, None, :]
+    error = np.abs(products.mean(axis=0) - cov_post)
+    assert np.all(error < 5 * products.std(axis=0) / np.sqrt(count))
+
+
+def test_one_component_mixture_tasks_are_the_gaussian_task(sched):
+    # a mixture task with one component on each side is the gaussian model: it
+    # gets the same exact plan, field, samples, reference draws and moments
+    rng = np.random.default_rng(21)
+    d = 3
+    cov, obs = rand_spd(rng, d, 0.05, 0.2), rng.standard_normal((6, d))
+    gaussian = gaussian_task(cov, obs)
+    others = [
+        gmm_prior_task(
+            cov, obs, prior_means=np.zeros((1, d)), prior_scales=(1.0,), prior_weights=(1.0,)
+        ),
+        gmm_likelihood_task(obs, base_cov=cov, cov_scales=(1.0,), weights=(1.0,)),
+    ]
+    cfg = TuningConfig(gamma=0.5, omega=0.5, T=5)
+    for method in METHODS:
+        expected = plan(gaussian, method, cfg, sched)
+        points = annealed_sample(expected, composite_field(gaussian, method, sched), 64, 3).points
+        for task in others:
+            lp = plan(task, method, cfg, sched)
+            assert not lp.proxy
+            np.testing.assert_array_equal(lp.h, expected.h)
+            np.testing.assert_array_equal(lp.k, expected.k)
+            got = annealed_sample(lp, composite_field(task, method, sched), 64, 3).points
+            np.testing.assert_array_equal(got, points)
+            bridge, exact = (bridging_moments(t, method, 0.5, sched) for t in (task, gaussian))
+            np.testing.assert_array_equal(bridge.mean, exact.mean)
+            np.testing.assert_array_equal(bridge.cov, exact.cov)
+    with pytest.raises(NotImplementedError, match="one-component"):
+        bridging_moments(gmm_prior_task(cov[:2, :2], obs[:, :2]), "linhart", 0.5, sched)
+    reference = exact_posterior_sample(gaussian, 100, seed=4).points
+    mean, cov_post, _ = posterior_moments(gaussian, None)
+    for task in others:
+        np.testing.assert_array_equal(exact_posterior_sample(task, 100, seed=4).points, reference)
+        got_mean, got_cov, _ = posterior_moments(task, None)
+        np.testing.assert_array_equal(got_mean, mean)
+        np.testing.assert_array_equal(got_cov, cov_post)
+
+
 def test_gmm_likelihood_joint_matches_grid_quadrature():
     # 1-D case small enough to integrate the unnormalized posterior directly
     obs = np.array([[0.4], [-1.1]])
@@ -115,20 +179,14 @@ def _assert_joint_matches_model(task: Task, theta: np.ndarray) -> None:
     # log joint(theta) - [log prior(theta) + sum_i log lik(x_i | theta)] is the
     # log evidence, the same at every theta; the model terms come from scipy.stats
     d, count = task.dim, len(theta)
-    if task.kind == "gmm_prior":
-        log_model = logsumexp(
-            [
-                np.log(w) + multivariate_normal(mu, s * s * np.eye(d)).logpdf(theta).reshape(count)
-                for w, mu, s in zip(task.prior_weights, task.prior_means, task.prior_scales)
-            ],
-            axis=0,
-        )
-    else:
-        log_model = multivariate_normal(np.zeros(d), np.eye(d)).logpdf(theta).reshape(count)
-    if task.kind == "gmm_likelihood":
-        weights, scales = task.likelihood_weights, task.likelihood_cov_scales
-    else:
-        weights, scales = [1.0], [1.0]
+    log_model = logsumexp(
+        [
+            np.log(w) + multivariate_normal(mu, s * s * np.eye(d)).logpdf(theta).reshape(count)
+            for w, mu, s in zip(task.prior_weights, task.prior_means, task.prior_scales)
+        ],
+        axis=0,
+    )
+    weights, scales = task.likelihood_weights, task.likelihood_cov_scales
     for x in task.observations:
         per_component = [
             np.log(w) + multivariate_normal(x, c * task.likelihood_cov).logpdf(theta).reshape(count)
@@ -276,11 +334,55 @@ def test_prior_dist_kinds():
     prior = prior_dist(mix)
     assert isinstance(prior, GaussianMixture)
     assert prior.component_count == 2
+    # the distribution follows the component count, not the family name
+    one = gmm_prior_task(np.eye(2), np.zeros((1, 2)), ((0.5, 0.5),), (2.0,), (1.0,))
+    prior = prior_dist(one)
+    assert isinstance(prior, GaussianDist)
+    assert prior.mean == pytest.approx([0.5, 0.5]) and prior.cov == pytest.approx(4.0 * np.eye(2))
+
+
+def test_task_holds_the_full_model():
+    # each side defaults to one standard component, whatever the family
+    task = Task(kind="gaussian", dim=3, observations=np.zeros((2, 3)), likelihood_cov=np.eye(3))
+    np.testing.assert_array_equal(task.prior_means, np.zeros((1, 3)))
+    for name in ("prior_scales", "prior_weights", "likelihood_cov_scales", "likelihood_weights"):
+        np.testing.assert_array_equal(getattr(task, name), [1.0])
+    assert task.one_component
+    likelihood = gmm_likelihood_task(np.zeros((2, 3)), dim=3)
+    np.testing.assert_array_equal(likelihood.prior_means, np.zeros((1, 3)))
+    assert not likelihood.one_component
+    prior = gmm_prior_task(np.eye(2), np.zeros((1, 2)))
+    np.testing.assert_array_equal(prior.likelihood_cov_scales, [1.0])
+    assert not prior.one_component
+
+
+_TWO_PRIOR = {"prior_means": np.zeros((2, 2)), "prior_scales": (1, 1), "prior_weights": (0.5, 0.5)}
+_TWO_LIKELIHOOD = {"likelihood_cov_scales": (1, 2), "likelihood_weights": (0.5, 0.5)}
+
+
+@pytest.mark.parametrize(
+    "kind, fields",
+    [
+        ("gaussian", _TWO_PRIOR),
+        ("gaussian", _TWO_LIKELIHOOD),
+        ("gmm_prior", _TWO_LIKELIHOOD),
+        ("gmm_likelihood", _TWO_PRIOR),
+    ],
+)
+def test_task_kind_must_fit_its_model(kind, fields):
+    with pytest.raises(ValueError, match=f"a {kind} task cannot have"):
+        Task(kind=kind, dim=2, observations=np.zeros((1, 2)), likelihood_cov=np.eye(2), **fields)
 
 
 def test_task_validation():
     with pytest.raises(ValueError, match="kind"):
         Task(kind="other", dim=2, observations=np.zeros((1, 2)), likelihood_cov=np.eye(2))
+    with pytest.raises(ValueError, match="prior_scales"):
+        gmm_prior_task(np.eye(2), np.zeros((1, 2)), prior_scales=(0.5, -0.5))
+    with pytest.raises(ValueError, match="likelihood component counts"):
+        gmm_likelihood_task(np.zeros((1, 2)), dim=2, cov_scales=(1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="weights"):
+        GaussianMixture(np.array([0.7, 0.7]), np.zeros((2, 2)), np.array([np.eye(2)] * 2))
     with pytest.raises(ValueError):
         gaussian_task(np.eye(2), np.zeros((1, 3)))  # observation dim mismatch
     with pytest.raises(ValueError):
