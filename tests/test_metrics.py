@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from annealed_langevin import (
     GaussianDist,
@@ -20,6 +24,59 @@ def _pts(array, seed=0):
 def _gauss_draws(dist: GaussianDist, count: int, seed: int) -> SampleSet:
     rng = np.random.default_rng(seed)
     return _pts(dist.sample(count, rng), seed=seed)
+
+
+def _oracle_w2(a: np.ndarray, b: np.ndarray) -> float:
+    """W2 from the plain squared-distance assignment, with a sorted matched-cost sum."""
+    cost = cdist(a, b, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(np.sort(cost[rows, cols]).sum() / len(a)))
+
+
+def _geometry_pair(geometry: str, count: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((count, d))
+    b = rng.standard_normal((count, d)) + 0.5
+    if geometry == "identical":  # a degenerate fit: zero covariance
+        a = np.tile(a[0], (count, 1))
+    elif geometry == "far":  # both clouds about 1e3 from the origin
+        offset = 1e3 * rng.standard_normal(d) / np.sqrt(d)
+        a, b = a + offset, b + offset
+    elif geometry == "overdispersed":  # the sampler's typical miss: too wide, same centre
+        a, b = 1.3 * a, b - 0.5
+    elif geometry == "bimodal":  # two modes against one Gaussian fit
+        a[:, 0] += np.where(rng.random(count) < 0.5, -3.0, 3.0)
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    geometry=st.sampled_from(["gaussian", "identical", "far", "overdispersed", "bimodal"]),
+    count=st.integers(1, 256),
+    d=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(geometry="gaussian", count=1, d=3, seed=0)
+@example(geometry="gaussian", count=4, d=10, seed=1)
+@example(geometry="identical", count=64, d=2, seed=2)
+@example(geometry="far", count=200, d=5, seed=3)
+@example(geometry="overdispersed", count=256, d=2, seed=4)
+@example(geometry="bimodal", count=256, d=2, seed=5)
+def test_potential_start_keeps_the_exact_assignment(geometry, count, d, seed):
+    # the Gaussian fits' potential only shifts every assignment's total by one
+    # constant, so any geometry, degenerate fits included, gives the plain
+    # solve's value; under -W error a divide or invalid-value warning fails too
+    a, b = _geometry_pair(geometry, count, d, seed)
+    got = empirical_w2(_pts(a, seed=1), _pts(b, seed=2)).value
+    assert got == pytest.approx(_oracle_w2(a, b), rel=1e-12, abs=0.0)
+
+
+def test_potential_start_is_bitwise_at_the_benchmark_shape():
+    # 1024 points in d=2, the sampler's set wider than the reference
+    rng = np.random.default_rng(11)
+    a = 1.3 * rng.standard_normal((1024, 2))
+    b = rng.standard_normal((1024, 2))
+    assert empirical_w2(_pts(a, seed=1), _pts(b, seed=2)).value == _oracle_w2(a, b)
 
 
 def test_single_point_oracle():
