@@ -27,17 +27,15 @@ from .tasks import (
     ScoreField,
     Task,
     _as_spd,
-    _compose_rule,
     _conjugate_update,
     _diffuse_stacked,
     _prepare,
     _proxies,
     _responsibilities,
-    _spd_inverse,
     gaussian_proxies,
     prior_dist,
 )
-from .theory import _check_method, proxy_bridge
+from .theory import _DiffusedProduct, _bridge_rule, _check_method
 
 __all__ = [
     "CompositeSpec",
@@ -53,8 +51,9 @@ __all__ = [
 class CompositeSpec:
     """Aggregation method plus the covariance proxies the linhart weights need.
 
-    The time-0 covariances are inverted once, here, to P_prior and P_i, and
-    composed to P_c = sum_i P_i + (1-n) P_prior; no level needs an inverse.
+    The time-0 covariances are eigendecomposed once, here (theory's
+    _DiffusedProduct), which gives P_prior and P_i and their composition
+    P_c = sum_i P_i + (1-n) P_prior; no level needs an inverse.
     """
 
     method: str
@@ -75,11 +74,14 @@ class CompositeSpec:
         prior = _as_spd(self.prior_cov, "prior_cov")
         if prior.shape != post.shape[1:]:
             raise ValueError("prior_cov dimension disagrees with post_covs")
-        precs = _spd_inverse(np.concatenate([prior[None, :, :], post]), "proxy covariance")
+        covs = np.concatenate([prior[None], post])
+        product = _DiffusedProduct(np.zeros(covs.shape[:2]), covs)
+        vecs = product.vecs  # P_i = Q_i diag(1/lam_i) Q_i', one per distinct covariance
+        precs = (vecs / product.eigvals[:, None, :]) @ np.swapaxes(vecs, -1, -2)
         object.__setattr__(self, "post_covs", post)
         object.__setattr__(self, "prior_cov", prior)
-        object.__setattr__(self, "precs", precs)
-        object.__setattr__(self, "composed_prec", _compose_rule(precs[0], precs[1:]))
+        object.__setattr__(self, "precs", 0.5 * (precs + np.swapaxes(precs, -1, -2))[product.group])
+        object.__setattr__(self, "composed_prec", product(1.0)[0][0])
 
 
 def spec_for_task(task: Task, method: str, s: Schedule) -> CompositeSpec:
@@ -182,9 +184,10 @@ def compose_dsm_error(eps_prior: float, eps_post: float, n: int, method: str) ->
 def composite_field(task: Task, method: str, s: Schedule):
     """Level-score factory for annealed sampling: (level_index, t) -> ScoreField.
 
-    On a one-component task each level's field is the score (mu_t - theta) P_t of
-    the method's bridge N(mu_t, P_t^-1) from proxy_bridge, one matrix product per
-    step. On a mixture each level's posterior and prior components are set
+    On a one-component task each level's field is the score lin_t - theta P_t of
+    the method's bridge, with precision P_t and precision-weighted mean lin_t
+    read straight from the bridge rule (theory._bridge_rule, built once), one
+    matrix product per step. On a mixture each level's posterior and prior components are set
     up once (_prepare) with the rule's weights folded in (_folded_field).
     """
     _check_method(method)
@@ -193,11 +196,11 @@ def composite_field(task: Task, method: str, s: Schedule):
     base_post = _conjugate_update(task, task.observations[:, None])
     proxies = _proxies(task, base_post)
     if task.one_component:
+        rule = _bridge_rule(*proxies, method)
 
         def bridge_factory(level_index: int, t: float) -> ScoreField:
-            bridge = proxy_bridge(*proxies, method, [t], s)[0]
-            mean, prec = bridge.mean, _spd_inverse(bridge.cov, "bridge covariance")
-            return lambda theta, t_arg: (mean - theta) @ prec
+            (prec,), (lin,) = rule(schedule_alpha(s, t))
+            return lambda theta, t_arg: lin - theta @ prec
 
         return bridge_factory
     # the proxies come from the same conjugate update as the mixtures

@@ -87,11 +87,6 @@ def _spd_inverse(mats: np.ndarray, label: str) -> np.ndarray:
     return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
-def _compose_rule(prior_term: np.ndarray, post_terms: np.ndarray) -> np.ndarray:
-    """The rule of prior^(1-n) * prod_i posterior_i: sum_i post_terms[i] + (1-n) prior_term."""
-    return post_terms.sum(axis=0) + (1 - len(post_terms)) * prior_term
-
-
 def _moments(
     weights: np.ndarray, means: np.ndarray, covs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,10 @@
 """Closed-form Gaussian bridging distributions and their Langevin-relevant constants.
 
-Builds every bridging Gaussian from moment-matched proxies composed by one
-precision rule (exact on a one-component task), and provides the exact
-scalar log-concavity/smoothness constants of the Gaussian bridges, their
-geffner-minus-linhart gap, and the analytic 2-Wasserstein distance between
-Gaussians.
+Builds every bridging Gaussian from moment-matched proxies by one rule, the
+weighted product of diffused Gaussians (exact on a one-component task), and
+provides the exact scalar log-concavity/smoothness constants of the Gaussian
+bridges, their geffner-minus-linhart gap, and the analytic 2-Wasserstein
+distance between Gaussians.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .schedule import Schedule, alpha as schedule_alpha, v as schedule_v
-from .tasks import GaussianDist, Task, _compose_rule, _spd_inverse, gaussian_proxies
+from .tasks import GaussianDist, Task, _as_spd, _spd_inverse, gaussian_proxies
 
 __all__ = [
     "METHODS",
     "BridgingConstants",
     "bridging_moments",
-    "compose_gaussians",
     "proxy_bridge",
     "gaussian_constants",
     "constant_gap",
@@ -71,28 +70,64 @@ def bridging_moments(task: Task, method: str, t: float, s: Schedule) -> Gaussian
     return proxy_bridge(*gaussian_proxies(task), method, [t], s)[0]
 
 
-def _composed(prior_mean, prior_cov, post_means, post_covs) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, cov) of prior^(1-n) * prod_i posterior_i for post_means (n, ..., d) and post_covs
-    (n, ..., d, d); "..." are batch axes (geffner's times), which the prior broadcasts against."""
-    n, d = len(post_means), prior_mean.shape[-1]
-    if n < 1 or len(post_covs) != n or post_means.shape[-1] != d or post_covs.shape[-2:] != (d, d):
-        raise ValueError("need one or more posterior proxies of the prior's dimension")
-    precs = _spd_inverse(np.concatenate([prior_cov[None], post_covs]), "proxy covariance")
-    weighted = np.einsum("...ij,...j->...i", precs, np.concatenate([prior_mean[None], post_means]))
-    cov = _spd_inverse(_compose_rule(precs[0], precs[1:]), "composed precision")
-    return np.einsum("...ij,...j->...i", cov, _compose_rule(weighted[0], weighted[1:])), cov
+class _DiffusedProduct:
+    """prior^(1-n) * prod_i posterior_i over n+1 Gaussians N(mu_i, C_i), prior first, diffused.
 
-
-def compose_gaussians(
-    prior_proxy: GaussianDist, post_means: np.ndarray, post_covs: np.ndarray
-) -> GaussianDist:
-    """Gaussian with precision sum(P_i) + (1-n)*P_prior and the matching mean.
-
-    This is the product-of-Gaussians normalization of prior^(1-n) * prod_i
-    posterior_i, for posterior means (n, d) and covariances (n, d, d); a
-    non-positive-definite composed precision is an error.
+    Diffusion to alpha maps N(mu, C) to N(sqrt(a) mu, a C + (1-a) I), which keeps the
+    eigenvectors of C = Q diag(lam) Q'. So the Gaussians are checked and eigendecomposed once,
+    here (equal covariances once between them), and at any alpha the product's precision
+    sum_i w_i Q_i diag(g_i) Q_i', with g_i = 1/(a lam_i + 1 - a) and w = (1-n, 1, ..., 1), and
+    its precision-weighted mean are each one product over the stacked eigenbases.
     """
-    return GaussianDist(*_composed(prior_proxy.mean, prior_proxy.cov, post_means, post_covs))
+
+    def __init__(self, means: np.ndarray, covs: np.ndarray) -> None:
+        count, d = means.shape
+        covs = _as_spd(covs, "proxy covariance")
+        first: dict[bytes, int] = {}  # the first Gaussian with each covariance
+        distinct = [first.setdefault(cov.tobytes(), i) for i, cov in enumerate(covs)]
+        keep, self.group = np.unique(distinct, return_inverse=True)
+        weights = np.concatenate([[2.0 - count], np.ones(count - 1)])
+        weighted_means = np.zeros((keep.size, d))
+        np.add.at(weighted_means, self.group, weights[:, None] * means)
+        self.eigvals, self.vecs = np.linalg.eigh(covs[keep])
+        self.weights = np.bincount(self.group, weights)[:, None]
+        self.rotated = np.einsum("ikj,ik->ij", self.vecs, weighted_means)  # Q' sum_i w_i mu_i
+        self.basis = self.vecs.transpose(1, 0, 2).reshape(d, -1)  # [Q_0 Q_1 ...]
+
+    def __call__(self, alphas) -> tuple[np.ndarray, np.ndarray]:
+        """Precisions (T, d, d) and precision-weighted means (T, d) at each of the alphas."""
+        precs, lins = [], []
+        for a in np.atleast_1d(alphas):
+            g = 1.0 / (a * self.eigvals + 1.0 - a)
+            prec = (self.basis * (self.weights * g).ravel()) @ self.basis.T
+            precs.append(0.5 * (prec + prec.T))
+            lins.append(math.sqrt(a) * (self.basis @ (g * self.rotated).ravel()))
+        return np.array(precs), np.array(lins)
+
+
+def _bridge_rule(
+    prior_proxy: GaussianDist, post_means: np.ndarray, post_covs: np.ndarray, method: str
+) -> _DiffusedProduct:
+    """The product whose value at alpha_t is the method's level-t bridge: geffner's n+1 proxies,
+    each diffused, or linhart's time-0 composition (alpha = 1), which must be definite, alone."""
+    _check_method(method)
+    n, d = len(post_means), prior_proxy.dim
+    if n < 1 or np.shape(post_means)[1:] != (d,) or np.shape(post_covs) != (n, d, d):
+        raise ValueError("need one or more posterior proxies of the prior's dimension")
+    means = np.concatenate([prior_proxy.mean[None], post_means])
+    rule = _DiffusedProduct(means, np.concatenate([prior_proxy.cov[None], post_covs]))
+    if method == "linhart":
+        (prec,), (lin,) = rule(1.0)
+        cov = _spd_inverse(prec, "composed precision")
+        rule = _DiffusedProduct((cov @ lin)[None], cov[None])
+    return rule
+
+
+def _bridges(proxies: tuple, method: str, times, s: Schedule) -> tuple[np.ndarray, list]:
+    """The bridges' precisions (T, d, d) and the bridges at each of the times (see proxy_bridge)."""
+    precs, lins = _bridge_rule(*proxies, method)(schedule_alpha(s, times))
+    covs = _spd_inverse(precs, "composed precision")
+    return precs, [GaussianDist(mean=cov @ lin, cov=cov) for cov, lin in zip(covs, lins)]
 
 
 def proxy_bridge(
@@ -106,17 +141,8 @@ def proxy_bridge(
     """Bridging Gaussians at each of the times, from moment-matched proxies (see gaussian_proxies).
 
     linhart diffuses the time-0 composition to each time; geffner composes the proxies diffused
-    to each time, all in one batch, and a failed composition names the index of its time."""
-    _check_method(method)
-    a = np.atleast_1d(schedule_alpha(s, times))[:, None, None]  # (times, 1, 1)
-    root_a, noise = np.sqrt(a[:, 0]), (1.0 - a) * np.eye(prior_proxy.dim)
-    if method == "linhart":
-        composed = compose_gaussians(prior_proxy, post_means, post_covs)
-        means, covs = root_a * composed.mean, a * composed.cov + noise
-    else:
-        posts = (root_a * post_means[:, None], a * post_covs[:, None] + noise)
-        means, covs = _composed(root_a * prior_proxy.mean, a * prior_proxy.cov + noise, *posts)
-    return [GaussianDist(mean=mean, cov=cov) for mean, cov in zip(means, covs)]
+    to each time, and a failed composition names the index of its time (_bridge_rule)."""
+    return _bridges((prior_proxy, post_means, post_covs), method, times, s)[1]
 
 
 def gaussian_constants(
@@ -164,14 +190,15 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
 def gaussian_w2(a: GaussianDist, b: GaussianDist) -> float:
     """Analytic 2-Wasserstein distance between two Gaussians.
 
-    Commuting covariances (commutator Frobenius norm < 1e-10) take the cheap
+    Commuting covariances (commutator Frobenius norm < 1e-10 |A|_F |B|_F) take the cheap
     Frobenius-of-square-roots path; otherwise the general Bures term is used.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     shift = float(np.sum((a.mean - b.mean) ** 2))
     commutator = a.cov @ b.cov - b.cov @ a.cov
-    if np.linalg.norm(commutator, "fro") < _COMMUTE_TOL:
+    scale = np.linalg.norm(a.cov, "fro") * np.linalg.norm(b.cov, "fro")
+    if np.linalg.norm(commutator, "fro") < _COMMUTE_TOL * scale:
         diff = _psd_sqrt(a.cov) - _psd_sqrt(b.cov)
         bures = float(np.sum(diff * diff))
     else:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .schedule import Schedule, levels
 from .tasks import Task, gaussian_proxies
-from .theory import bridging_moments  # noqa: F401  (perfbench/worker.py looks it up here)
-from .theory import _check_method, gaussian_w2, proxy_bridge
+from .theory import bridging_moments, proxy_bridge  # noqa: F401  (perfbench/worker.py needs them)
+from .theory import _bridges, _check_method, gaussian_w2
 
 __all__ = [
     "TuningError",
@@ -201,11 +201,11 @@ def plan(task: Task, method: str, cfg: TuningConfig, s: Schedule) -> LevelPlan:
     times = levels(s, cfg.T)
     d = task.dim
     try:
-        bridges = proxy_bridge(*gaussian_proxies(task), method, times, s)
+        precs, bridges = _bridges(gaussian_proxies(task), method, times, s)
     except ValueError as exc:
         raise TuningError(f"bridging densities: {exc}") from exc
-    eigs = np.linalg.eigvalsh(np.array([bridge.cov for bridge in bridges[:-1]]))
-    m, M = 1.0 / eigs[:, -1], 1.0 / eigs[:, 0]
+    eigs = np.linalg.eigvalsh(precs[:-1])
+    m, M = eigs[:, 0], eigs[:, -1]
     T = cfg.T
     w2_next = np.array([gaussian_w2(bridges[p + 1], bridges[p]) for p in range(T)])
     h = np.empty(T)

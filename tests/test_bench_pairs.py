@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,48 @@ def test_compare_skips_what_it_cannot_rank_or_divide():
     out = bench_pairs.compare(pairs, {})
     assert out["change_won"] == {} and out["ratio_change_over_parent"] == {}
     assert out["parent_quartiles"]["w/trace1/extra"] == [0.0, 0.0]
+
+
+def test_main_writes_the_file_then_exits_1_naming_each_failed_run(tmp_path, monkeypatch, capsys):
+    # a run that reads correct: false, or has failed cells, fails the script,
+    # after every pair's summary is written
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [{"name": "wall_s", "better": "lower"}], "per_layer": []}
+    ))
+    monkeypatch.setattr(bench_pairs, "git", lambda repo, *args: f"{tmp_path}\n".encode())
+    monkeypatch.setattr(bench_pairs, "export", lambda repo, rev, dest: None)
+    verdicts = {(0, "parent"): (True, 0), (0, "change"): (False, 0),
+                (1, "parent"): (True, 0), (1, "change"): (True, 2)}
+
+    def run_once(tree, seed, seconds):
+        correct, failed = verdicts[seed, tree.name]
+        summary = {"correct": correct, "attempted": 4, "failed": failed, "run_s": 1.0,
+                   "metrics": {"w/trace0/wall_s": {"value": 1.0, "unit": "s"}}}
+        return {"cpu": "stub"}, summary
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "a", "--change", "b",
+                                      "--pairs", "2", "--first-seed", "0", "--out", str(out)])
+    assert bench_pairs.main() == 1
+    report = json.loads(out.read_text())
+    assert report["seeds"] == [0, 1] and report["all_correct"] is False
+    err = capsys.readouterr().err
+    assert "pair 0 seed 0 change: correct False, failed 0/4 cells" in err
+    assert "pair 1 seed 1 change: correct True, failed 2/4 cells" in err
+    assert "parent: correct True, failed" not in err  # the passing runs are not named
+
+
+def test_main_exits_0_when_every_run_is_correct(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [], "per_layer": []}
+    ))
+    monkeypatch.setattr(bench_pairs, "git", lambda repo, *args: f"{tmp_path}\n".encode())
+    monkeypatch.setattr(bench_pairs, "export", lambda repo, rev, dest: None)
+    summary = {"correct": True, "attempted": 4, "failed": 0, "run_s": 1.0, "metrics": {}}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, seed, seconds: ({}, dict(summary)))
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "a", "--change", "b",
+                                      "--pairs", "1", "--first-seed", "3", "--out", str(out)])
+    assert bench_pairs.main() == 0
+    assert json.loads(out.read_text())["all_correct"] is True

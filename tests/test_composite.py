@@ -26,7 +26,7 @@ from annealed_langevin import (
     simulate_observations,
     spec_for_task,
 )
-from annealed_langevin import composite, tasks
+from annealed_langevin import composite, tasks, theory
 from annealed_langevin.tasks import GaussianDist
 from conftest import rand_spd
 
@@ -151,13 +151,13 @@ def test_stacked_covariance_checks_reach_the_last_matrix(flaw, sched):
 @pytest.mark.parametrize("kind", ["gaussian", "gmm_prior"])
 def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
     # one conjugate update feeds the field's mixtures or bridges and the rule's
-    # spec; on mixture kinds the time-0 proxy covariances are inverted once,
-    # not per level, and the gaussian field inverts each level's bridge
-    # covariance once and never sets up a mixture kernel
+    # spec, and the time-0 proxies are eigendecomposed once, not per level
+    # (linhart's bridges decompose their one time-0 composition too); no
+    # level inverts a bridge, and the gaussian field never sets up a mixture kernel
     rng = np.random.default_rng(5)
     make = gaussian_task if kind == "gaussian" else gmm_prior_task
     task = make(rand_spd(rng, 2, 0.2, 1.0), rng.standard_normal((6, 2)))
-    calls = {"update": 0, "inverse": 0, "prepare": 0}
+    calls = {"update": 0, "eigh": 0, "inverse": 0, "prepare": 0}
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -169,15 +169,17 @@ def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
     update = counted("update", tasks._conjugate_update)
     monkeypatch.setattr(tasks, "_conjugate_update", update)
     monkeypatch.setattr(composite, "_conjugate_update", update)
-    monkeypatch.setattr(composite, "_spd_inverse", counted("inverse", composite._spd_inverse))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(theory, "_spd_inverse", counted("inverse", theory._spd_inverse))
     monkeypatch.setattr(composite, "_prepare", counted("prepare", composite._prepare))
     factory = composite_field(task, method, sched)
     for p, t in enumerate(levels(sched, 10)[:-1]):
         factory(p, float(t))(rng.standard_normal((3, 2)), float(t))
     if kind == "gaussian":
-        assert calls == {"update": 1, "inverse": 10, "prepare": 0}
+        composed = int(method == "linhart")
+        assert calls == {"update": 1, "eigh": 1 + composed, "inverse": composed, "prepare": 0}
     else:
-        assert calls == {"update": 1, "inverse": 1, "prepare": 20}
+        assert calls == {"update": 1, "eigh": 1, "inverse": 0, "prepare": 20}
 
 
 def test_gaussian_consistency_linhart_equals_joint(sched):

@@ -7,7 +7,7 @@ _MODULES = ("schedule", "tasks", "composite", "theory", "tuner", "sampler", "met
 
 def test_package_all_lists_each_module_name_once():
     names = annealed_langevin.__all__
-    assert len(names) == len(set(names)) == 51
+    assert len(names) == len(set(names)) == 50
     exported = ["__version__"]
     for module_name in _MODULES:
         module = importlib.import_module(f"annealed_langevin.{module_name}")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,16 +14,18 @@ from annealed_langevin import (
     Schedule,
     alpha,
     bridging_moments,
-    compose_gaussians,
     constant_gap,
     gaussian_constants,
+    gaussian_proxies,
     gaussian_task,
     gaussian_w2,
+    gmm_likelihood_task,
+    gmm_prior_task,
     levels,
     posterior_moments,
     proxy_bridge,
 )
-from conftest import rand_spd, t_for_v
+from conftest import make_gaussian_task, rand_spd, t_for_v
 
 SIGMAS = (0.5, 1.0, 2.0, 5.0)
 NS = tuple(range(1, 21))
@@ -147,19 +151,92 @@ def test_proxy_bridge_reproduces_exact_gaussian_bridges(method, sched):
         _assert_bridge_matches(via_proxy, task, method, t, sched)
 
 
-def test_compose_gaussians_precision_arithmetic():
-    # two unit-variance posteriors and a variance-2 prior in 1-D:
+def test_linhart_composition_precision_arithmetic(sched):
+    # at t = 0 (alpha = 1) the linhart bridge is the time-0 composition itself:
+    # two unit-variance posteriors and a variance-2 prior in 1-D give
     # precision 1 + 1 - 1/2 = 3/2, mean = cov * (sum of precision-weighted means)
     prior = GaussianDist(np.zeros(1), np.array([[2.0]]))
-    out = compose_gaussians(prior, np.array([[1.0], [3.0]]), np.ones((2, 1, 1)))
+    means, covs = np.array([[1.0], [3.0]]), np.ones((2, 1, 1))
+    (out,) = proxy_bridge(prior, means, covs, "linhart", [0.0], sched)
     assert out.cov == pytest.approx(np.array([[2.0 / 3.0]]), abs=1e-14)
     assert out.mean == pytest.approx([8.0 / 3.0], abs=1e-14)
 
 
-def test_compose_gaussians_rejects_indefinite():
+def test_linhart_composition_rejects_indefinite(sched):
     prior = GaussianDist(np.zeros(1), np.array([[0.01]]))  # dominant negative weight
-    with pytest.raises(ValueError, match="not positive definite"):
-        compose_gaussians(prior, np.zeros((2, 1)), np.ones((2, 1, 1)))
+    with pytest.raises(ValueError, match="composed precision is not positive definite"):
+        proxy_bridge(prior, np.zeros((2, 1)), np.ones((2, 1, 1)), "linhart", [0.5], sched)
+
+
+def test_indefinite_geffner_level_names_its_time_index(sched):
+    # the same proxies: indefinite at time 0, but diffusion pulls every proxy
+    # toward N(0, I), so at t = 0.5 the composition is positive definite again
+    prior = GaussianDist(np.zeros(1), np.array([[0.01]]))
+    with pytest.raises(ValueError, match=r"composed precision\[1\] is not positive definite"):
+        proxy_bridge(prior, np.zeros((2, 1)), np.ones((2, 1, 1)), "geffner", [0.5, 1e-5], sched)
+
+
+def _dense_product(gaussians, a):
+    """(mean, cov) of prior^(1-n) * prod_i posterior_i over the Gaussians (prior first)
+    diffused to alpha a, from plain inverses of each a C_i + (1-a) I."""
+    eye, n = np.eye(len(gaussians[0][0])), len(gaussians) - 1
+    precs = [np.linalg.inv(a * cov + (1.0 - a) * eye) for _, cov in gaussians]
+    weights = [1.0 - n] + [1.0] * n
+    prec = sum(w * p for w, p in zip(weights, precs))
+    lin = sum(w * p @ (np.sqrt(a) * mean) for w, p, (mean, _) in zip(weights, precs, gaussians))
+    cov = np.linalg.inv(prec)
+    return cov @ lin, cov
+
+
+@pytest.mark.parametrize("method", ["geffner", "linhart"])
+@pytest.mark.parametrize("kind", ["gmm_prior", "gmm_likelihood"])
+def test_proxy_bridge_matches_dense_formula_on_mixture_proxies(kind, method, sched):
+    # a mixture's posterior proxies differ in their eigenvectors, unlike a
+    # gaussian task's, so this catches eigenvectors mixed up across proxies,
+    # and equal covariances with different means must still each count
+    rng = np.random.default_rng(21)
+    obs = rng.standard_normal((4, 3))
+    if kind == "gmm_prior":
+        task = gmm_prior_task(rand_spd(rng, 3, 0.2, 1.0), obs, prior_means=((0, 0, 0), (1, 1, -1)))
+    else:
+        task = gmm_likelihood_task(obs, base_cov=rand_spd(rng, 3, 0.3, 1.0), dim=3)
+    prior, means, covs = gaussian_proxies(task)
+    commutator = covs[0] @ covs[1] - covs[1] @ covs[0]
+    assert np.linalg.norm(commutator) > 1e-3 * np.linalg.norm(covs[0]) * np.linalg.norm(covs[1])
+    # and a fifth proxy that shares the first one's covariance, not its mean
+    means, covs = np.concatenate([means, means[:1] + 0.3]), np.concatenate([covs, covs[:1]])
+    gaussians = [(prior.mean, prior.cov)] + list(zip(means, covs))
+    composed_mean, composed_cov = _dense_product(gaussians, 1.0)
+    times = (sched.t_floor, 0.5, 1.0)
+    for t, got in zip(times, proxy_bridge(prior, means, covs, method, times, sched)):
+        a = alpha(sched, t)
+        if method == "geffner":  # diffuse each proxy, then compose
+            mean, cov = _dense_product(gaussians, a)
+        else:  # compose at time 0, then diffuse the composition
+            mean, cov = np.sqrt(a) * composed_mean, a * composed_cov + (1.0 - a) * np.eye(3)
+        np.testing.assert_allclose(got.cov, cov, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(got.mean, mean, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_geffner_bridges_at_scale_allocate_no_per_level_stacks(distinct, sched):
+    # one eigendecomposition of the n+1 proxies serves every level: no
+    # (n, levels, d, d) stack of diffused covariances or their inverses,
+    # which alone would be 8 * 1000 * 11 * 50^2 bytes (210 MiB); numpy
+    # reports its buffers to tracemalloc, so the peak is deterministic. A
+    # gaussian task's posterior proxies share one covariance; scaled apart,
+    # they are n distinct ones
+    task = make_gaussian_task(0, 50, 1000)
+    prior, means, covs = gaussian_proxies(task)
+    if distinct:
+        covs = covs * (1.0 + np.linspace(0.0, 0.1, task.n))[:, None, None]
+    tracemalloc.start()
+    try:
+        proxy_bridge(prior, means, covs, "geffner", levels(sched, 10), sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
 
 
 def test_gaussian_w2_oracles():
@@ -200,6 +277,19 @@ def test_gaussian_w2_commuting_path_agrees_with_general():
     cross = np.real(sqrtm(root @ b.cov @ root))
     ref2 = float(np.sum((a.mean - b.mean) ** 2) + np.trace(a.cov) + np.trace(b.cov) - 2 * np.trace(cross))
     assert w == pytest.approx(np.sqrt(ref2), rel=1e-8)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6])
+def test_gaussian_w2_commuting_test_is_relative_to_scale(scale):
+    # at scale 1e-6 these covariances' commutator is 1.7e-11, below an
+    # absolute 1e-10, yet they do not commute: the cheap path would be 3% high
+    c, s = np.cos(0.7), np.sin(0.7)
+    rot = np.array([[c, -s], [s, c]])
+    a = GaussianDist(np.zeros(2), scale * np.diag([1.0, 4.0]))
+    b = GaussianDist(np.zeros(2), scale * (rot * [1.0, 9.0]) @ rot.T)
+    root = np.real(sqrtm(a.cov))
+    bures = np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(np.real(sqrtm(root @ b.cov @ root)))
+    assert gaussian_w2(a, b) == pytest.approx(np.sqrt(bures), rel=1e-8)
 
 
 def test_consecutive_bridge_distance_orderings(sched):

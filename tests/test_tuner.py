@@ -151,18 +151,20 @@ def test_plan_mixture_prior_uses_proxies(method, sched):
 
 
 def test_linhart_plan_composes_the_proxies_once(sched, monkeypatch):
-    # linhart's bridges all diffuse one time-0 composition, whatever T is
+    # linhart's bridges all diffuse one time-0 composition, whatever T is:
+    # the diffused-product rule runs once at alpha = 1, then once over the levels
     calls = []
-    compose = theory.compose_gaussians
+    rule = theory._DiffusedProduct.__call__
 
-    def counted(*args):
-        calls.append(args)
-        return compose(*args)
+    def counted(self, alphas):
+        calls.append(np.atleast_1d(alphas).copy())
+        return rule(self, alphas)
 
-    monkeypatch.setattr(theory, "compose_gaussians", counted)
+    monkeypatch.setattr(theory._DiffusedProduct, "__call__", counted)
     task = make_gaussian_task(seed=2, dim=10, n=30)
     lp = plan(task, "linhart", TuningConfig(gamma=0.5, omega=0.5, T=10), sched)
-    assert lp.T == 10 and len(calls) == 1
+    assert lp.T == 10 and len(calls) == 2
+    assert calls[0].tolist() == [1.0] and calls[1].size == 11
 
 
 def test_gaussian_proxy_moments():

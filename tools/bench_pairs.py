@@ -16,7 +16,8 @@ The output holds each run's summary (the last stdout line of run.py), the
 default method of `statistics.quantiles`, as perfbench states its spread),
 how many pairs the change won (by the direction BENCHMARK.json gives the
 metric; ties count for neither), and the change/parent ratio of the medians.
-Only the standard library is used.
+Only the standard library is used. The file is written even when a run's
+checks fail; the script then names each failing pair and side and exits 1.
 """
 
 from __future__ import annotations
@@ -144,7 +145,12 @@ def main() -> int:
     finally:
         shutil.rmtree(work, ignore_errors=True)
     print(f"wrote {args.out}", file=sys.stderr)
-    return 0
+    bad = [(i, p["seed"], side, p[side]) for i, p in enumerate(pairs) for side in SIDES
+           if p[side]["correct"] is not True or p[side]["failed"]]
+    for i, seed, side, run in bad:
+        print(f"pair {i} seed {seed} {side}: correct {run['correct']}, "
+              f"failed {run['failed']}/{run['attempted']} cells", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
