@@ -187,8 +187,9 @@ def composite_field(task: Task, method: str, s: Schedule):
     On a one-component task each level's field is the score lin_t - theta P_t of
     the method's bridge, with precision P_t and precision-weighted mean lin_t
     read straight from the bridge rule (theory._bridge_rule, built once), one
-    matrix product per step. On a mixture each level's posterior and prior components are set
-    up once (_prepare) with the rule's weights folded in (_folded_field).
+    matrix product per step. On a mixture each level's posterior and prior
+    components are set up once (_prepare) with the rule's weights folded in
+    (_folded_field).
     """
     _check_method(method)
     if task.n < 1:

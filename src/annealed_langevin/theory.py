@@ -74,35 +74,36 @@ class _DiffusedProduct:
     """prior^(1-n) * prod_i posterior_i over n+1 Gaussians N(mu_i, C_i), prior first, diffused.
 
     Diffusion to alpha maps N(mu, C) to N(sqrt(a) mu, a C + (1-a) I), which keeps the
-    eigenvectors of C = Q diag(lam) Q'. So the Gaussians are checked and eigendecomposed once,
-    here (equal covariances once between them), and at any alpha the product's precision
-    sum_i w_i Q_i diag(g_i) Q_i', with g_i = 1/(a lam_i + 1 - a) and w = (1-n, 1, ..., 1), and
-    its precision-weighted mean are each one product over the stacked eigenbases.
+    eigenvectors of C = Q diag(lam) Q'. So the Gaussians (whose covariances the caller has
+    checked SPD) are eigendecomposed once, here, equal covariances once between them, and at
+    any alpha the product's precision sum_i w_i Q_i diag(g_i) Q_i', with w = (1-n, 1, ..., 1)
+    and g_i = 1/(a lam_i + 1 - a), and its precision-weighted mean are each one product over
+    the stacked eigenbases.
     """
 
     def __init__(self, means: np.ndarray, covs: np.ndarray) -> None:
         count, d = means.shape
-        covs = _as_spd(covs, "proxy covariance")
-        first: dict[bytes, int] = {}  # the first Gaussian with each covariance
-        distinct = [first.setdefault(cov.tobytes(), i) for i, cov in enumerate(covs)]
-        keep, self.group = np.unique(distinct, return_inverse=True)
+        first: dict[bytes, int] = {}  # the first Gaussian with each covariance, in order
+        firsts = [first.setdefault(cov.tobytes(), i) for i, cov in enumerate(covs)]
+        keep = list(first.values())
+        self.group = np.searchsorted(keep, firsts)
         weights = np.concatenate([[2.0 - count], np.ones(count - 1)])
-        weighted_means = np.zeros((keep.size, d))
+        weighted_means = np.zeros((len(keep), d))
         np.add.at(weighted_means, self.group, weights[:, None] * means)
         self.eigvals, self.vecs = np.linalg.eigh(covs[keep])
-        self.weights = np.bincount(self.group, weights)[:, None]
-        self.rotated = np.einsum("ikj,ik->ij", self.vecs, weighted_means)  # Q' sum_i w_i mu_i
+        # flat over (distinct covariance, eigenvalue), like the columns of the basis
+        self.weights = np.repeat(np.bincount(self.group, weights), d)
+        self.rotated = np.einsum("ikj,ik->ij", self.vecs, weighted_means).ravel()  # Q' sum w mu
         self.basis = self.vecs.transpose(1, 0, 2).reshape(d, -1)  # [Q_0 Q_1 ...]
 
     def __call__(self, alphas) -> tuple[np.ndarray, np.ndarray]:
         """Precisions (T, d, d) and precision-weighted means (T, d) at each of the alphas."""
-        precs, lins = [], []
-        for a in np.atleast_1d(alphas):
-            g = 1.0 / (a * self.eigvals + 1.0 - a)
-            prec = (self.basis * (self.weights * g).ravel()) @ self.basis.T
-            precs.append(0.5 * (prec + prec.T))
-            lins.append(math.sqrt(a) * (self.basis @ (g * self.rotated).ravel()))
-        return np.array(precs), np.array(lins)
+        a = np.atleast_1d(alphas)[:, None, None]
+        g = (1.0 / (a * self.eigvals + 1.0 - a)).reshape(len(a), -1)  # (T, distinct * d)
+        lins = np.sqrt(a[:, 0]) * ((g * self.rotated) @ self.basis.T)
+        # one (d, distinct * d) temporary at a time, not one per alpha
+        precs = np.array([(self.basis * w) @ self.basis.T for w in g * self.weights])
+        return 0.5 * (precs + np.swapaxes(precs, -1, -2)), lins
 
 
 def _bridge_rule(
@@ -115,7 +116,8 @@ def _bridge_rule(
     if n < 1 or np.shape(post_means)[1:] != (d,) or np.shape(post_covs) != (n, d, d):
         raise ValueError("need one or more posterior proxies of the prior's dimension")
     means = np.concatenate([prior_proxy.mean[None], post_means])
-    rule = _DiffusedProduct(means, np.concatenate([prior_proxy.cov[None], post_covs]))
+    covs = _as_spd(np.concatenate([prior_proxy.cov[None], post_covs]), "proxy covariance")
+    rule = _DiffusedProduct(means, covs)
     if method == "linhart":
         (prec,), (lin,) = rule(1.0)
         cov = _spd_inverse(prec, "composed precision")
