@@ -96,6 +96,13 @@ def load_config(path: str | Path) -> dict:
     return user
 
 
+def _int(value, name: str) -> int:
+    """value as an int; a boolean or a number with a fractional part is refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def resolve_config(
     user: dict,
     seed: int | None = None,
@@ -119,10 +126,10 @@ def resolve_config(
     task = cfg["task"]
     if task["kind"] not in KINDS:
         raise ValueError(f"unknown task kind {task['kind']!r}")
-    dim = task["dim"] = int(task["dim"])
-    task["data_seed"] = int(task["data_seed"])
+    dim = task["dim"] = _int(task["dim"], "task.dim")
+    task["data_seed"] = _int(task["data_seed"], "task.data_seed")
     n = task["n"]
-    task["n"] = [int(v) for v in n] if isinstance(n, list) else int(n)
+    task["n"] = [_int(v, "task.n") for v in n] if isinstance(n, list) else _int(n, "task.n")
     if task["n"] == []:
         raise ValueError("task.n list must be nonempty")
     like = task["likelihood"]
@@ -142,7 +149,7 @@ def resolve_config(
         tune["omega"] = 0.8 if dim >= 10 else 0.5
     for key in ("gamma", "omega", "eps_dsm_prior", "eps_dsm_post"):
         tune[key] = float(tune[key])
-    tune["T"] = int(tune["T"])
+    tune["T"] = _int(tune["T"], "tuning.T")
     for key in ("beta_min", "beta_max", "t_floor"):
         cfg["schedule"][key] = float(cfg["schedule"][key])
     output = cfg["output"]
@@ -151,11 +158,12 @@ def resolve_config(
     formats = output["formats"]
     if not isinstance(formats, list) or not all(f in _FORMATS for f in formats):
         raise ValueError(f"output.formats must be a list drawn from {', '.join(_FORMATS)}")
-    sampling["chains"], sampling["seed"] = int(sampling["chains"]), int(sampling["seed"])
+    sampling["chains"] = _int(sampling["chains"], "sampling.chains")
+    sampling["seed"] = _int(sampling["seed"], "sampling.seed")
     if sampling["chains"] < 1:
         raise ValueError("sampling.chains must be at least 1")
     if sampling["seeds"] is not None:
-        sampling["seeds"] = [int(s) for s in sampling["seeds"]]
+        sampling["seeds"] = [_int(s, "sampling.seeds") for s in sampling["seeds"]]
         if not sampling["seeds"]:
             raise ValueError("sampling.seeds list must be nonempty")
     return cfg
@@ -459,11 +467,11 @@ def main(argv: list[str] | None = None) -> int:
             load_config(args.config), seed=args.seed, method=args.method, out=args.out
         )
         sched, cells = _grid(cfg, args.command)
+        out_dir = Path(cfg["output"]["directory"])
+        out_dir.mkdir(parents=True, exist_ok=True)  # last: nothing is written before this
     except (OSError, ValueError, TypeError) as exc:  # a wrongly typed value is a config error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(cfg["output"]["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     tune_only, keep_points = args.command == "tune", args.command == "sample"
     start = time.perf_counter()
     records = _run(cfg, sched, cells, tune_only=tune_only, keep_points=keep_points)

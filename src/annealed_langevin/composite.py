@@ -28,14 +28,14 @@ from .tasks import (
     Task,
     _as_spd,
     _conjugate_update,
-    _diffuse_stacked,
-    _prepare,
+    _kernel_score,
+    _mixture_kernel,
     _proxies,
-    _responsibilities,
+    _symmetric_inverse,
     gaussian_proxies,
     prior_dist,
 )
-from .theory import _DiffusedProduct, _bridge_rule, _check_method
+from .theory import _bridge_rule, _check_method
 
 __all__ = [
     "CompositeSpec",
@@ -51,9 +51,9 @@ __all__ = [
 class CompositeSpec:
     """Aggregation method plus the covariance proxies the linhart weights need.
 
-    The time-0 covariances are eigendecomposed once, here (theory's
-    _DiffusedProduct), which gives P_prior and P_i and their composition
-    P_c = sum_i P_i + (1-n) P_prior; no level needs an inverse.
+    One batched inverse of the checked time-0 covariances gives P_prior and the
+    P_i, and their composition is P_c = (1-n) P_prior + sum_i P_i; no level
+    needs an inverse.
     """
 
     method: str
@@ -74,14 +74,11 @@ class CompositeSpec:
         prior = _as_spd(self.prior_cov, "prior_cov")
         if prior.shape != post.shape[1:]:
             raise ValueError("prior_cov dimension disagrees with post_covs")
-        covs = np.concatenate([prior[None], post])
-        product = _DiffusedProduct(np.zeros(covs.shape[:2]), covs)
-        vecs = product.vecs  # P_i = Q_i diag(1/lam_i) Q_i', one per distinct covariance
-        precs = (vecs / product.eigvals[:, None, :]) @ np.swapaxes(vecs, -1, -2)
+        precs = _symmetric_inverse(np.concatenate([prior[None], post]))
         object.__setattr__(self, "post_covs", post)
         object.__setattr__(self, "prior_cov", prior)
-        object.__setattr__(self, "precs", 0.5 * (precs + np.swapaxes(precs, -1, -2))[product.group])
-        object.__setattr__(self, "composed_prec", product(1.0)[0][0])
+        object.__setattr__(self, "precs", precs)
+        object.__setattr__(self, "composed_prec", (1 - self.n) * precs[0] + precs[1:].sum(axis=0))
 
 
 def spec_for_task(task: Task, method: str, s: Schedule) -> CompositeSpec:
@@ -187,9 +184,9 @@ def composite_field(task: Task, method: str, s: Schedule):
     On a one-component task each level's field is the score lin_t - theta P_t of
     the method's bridge, with precision P_t and precision-weighted mean lin_t
     read straight from the bridge rule (theory._bridge_rule, built once), one
-    matrix product per step. On a mixture each level's posterior and prior
-    components are set up once (_prepare) with the rule's weights folded in
-    (_folded_field).
+    matrix product per step. On a mixture each level's field is one mixture
+    kernel (tasks._mixture_kernel), set up once per level from the posteriors
+    weighted by the W_i and the prior weighted by W_0 (_level_weights).
     """
     _check_method(method)
     if task.n < 1:
@@ -209,41 +206,9 @@ def composite_field(task: Task, method: str, s: Schedule):
     base_prior = prior_dist(task)._params()
 
     def factory(level_index: int, t: float) -> ScoreField:
-        post = _prepare(*_diffuse_stacked(*base_post, t, s))
-        prior = _prepare(*_diffuse_stacked(*base_prior, t, s))
-        return _folded_field(post, prior, *_level_weights(spec, t))
+        prior_weight, post_weights = _level_weights(spec, t)
+        stacks = [(base_post, post_weights), (base_prior, prior_weight[None])]
+        kernel = _mixture_kernel(stacks, schedule_alpha(s, t))
+        return lambda theta, t_arg: _kernel_score(kernel, np.ascontiguousarray(theta.T))[0].T
 
     return factory
-
-
-def _folded_field(post, prior, prior_weight: np.ndarray, post_weights: np.ndarray) -> ScoreField:
-    """One level's composite score as sum_j r_j(theta) (c_j - theta M_j).
-
-    post and prior are _prepare'd mixtures: the n per-observation posteriors
-    and the prior. Component j pairs mixture i with its component k, and the
-    rule's weight W_i is folded into it: c_j = b_ik W_i and M_j = P_k W_i, the
-    prior's components taking W_0. A call computes the responsibilities of all
-    J = nK + K_0 components into one (J, N) array R, then C' R and M' R in one
-    product, and subtracts theta contracted with M' R.
-    """
-    d = prior_weight.shape[0]
-    parts = ((post, post_weights), (prior, prior_weight[None]))
-    groups = [rows.shape[:2] for (_, rows), _ in parts]  # (K, n), then (K_0, 1)
-    rows, c, m = [], [], []
-    for (precs, part_rows), w in parts:
-        rows.append(part_rows.reshape(-1, part_rows.shape[-1]))
-        c.append(np.einsum("kni,nij->knj", part_rows[:, :, 1 : d + 1], w).reshape(-1, d))
-        m.append(np.einsum("kab,nbc->knac", precs, w).reshape(-1, d * d))
-    rows = np.concatenate(rows)
-    # (d + d^2, J): the c_j, then the flattened M_j
-    folded = np.concatenate([np.concatenate(c), np.concatenate(m)], axis=1).T.copy()
-
-    def score_field(theta: np.ndarray, t_arg: float) -> np.ndarray:
-        theta_t = np.ascontiguousarray(theta.T)
-        resp, _ = _responsibilities(rows, theta_t, groups)
-        out = folded @ resp
-        score = out[:d]
-        score -= np.einsum("abn,an->bn", out[d:].reshape(d, d, -1), theta_t)
-        return score.T
-
-    return score_field

@@ -81,10 +81,15 @@ def _as_spd(cov: np.ndarray, name: str) -> np.ndarray:
     return cov
 
 
+def _symmetric_inverse(mats: np.ndarray) -> np.ndarray:
+    """Inverse of one SPD matrix (d, d) or of a stack (..., d, d) already checked, symmetrized."""
+    inv = np.linalg.inv(mats)
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+
+
 def _spd_inverse(mats: np.ndarray, label: str) -> np.ndarray:
     """Inverse of one SPD matrix (d, d) or of a stack (..., d, d), checked and symmetrized."""
-    inv = np.linalg.inv(_as_spd(mats, label))
-    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+    return _symmetric_inverse(_as_spd(mats, label))
 
 
 def _moments(
@@ -126,7 +131,7 @@ class GaussianDist:
         return self.mean, self.cov
 
     def _params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """This distribution as a stack of one one-component mixture, for _prepare."""
+        """This distribution as a stack of one one-component mixture, for _mixture_kernel."""
         return np.zeros((1, 1)), self.mean[None, None, :], self.cov[None, :, :]
 
     def log_pdf(self, theta: np.ndarray) -> np.ndarray:
@@ -479,51 +484,52 @@ def _check_theta(task: Task, theta) -> np.ndarray:
     return theta
 
 
-def _diffuse_stacked(
-    log_w: np.ndarray, means: np.ndarray, covs: np.ndarray, t: float, s: Schedule
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Push stacked mixture parameters through the forward diffusion to time t."""
-    a = schedule_alpha(s, t)
-    d = means.shape[-1]
-    return log_w, np.sqrt(a) * means, a * covs + (1.0 - a) * np.eye(d)
+def _mixture_kernel(stacks, a: float) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray]:
+    """Set up, once, stacks of mixtures diffused to alpha a, each mixture's score weighted.
 
-
-def _prepare(
-    log_w: np.ndarray, means: np.ndarray, covs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Set up n mixtures sharing component covariances once, for _responsibilities.
-
-    log_w: (n, K), means: (n, K, d), covs: (K, d, d). One batched Cholesky (the
-    SPD check and the log-determinants) and one batched inverse give the
-    precisions P_k (K, d, d) and the logit rows (K, n, 1 + d + d^2)
-    [c_ik, b_ik, -vec(P_k)/2], with the linear terms b_ik = P_k mu_ik and the
-    constants c_ik = log w_ik - mu_ik' P_k mu_ik / 2 - log det C_k / 2 - (d/2) log 2 pi.
+    stacks holds ((log_w (n, K), means (n, K, d), covs (K, d, d)), W (n, d, d)) pairs: n
+    time-0 mixtures sharing component covariances, and the matrix W_i that multiplies the
+    (row-vector) score of mixture i. Diffusion to a maps N(mu, C) to
+    N(sqrt(a) mu, a C + (1 - a) I). Per stack, one batched Cholesky (the SPD check and the
+    log-determinants) and one batched inverse give the precisions P_k. Component j, mixture
+    i's component k, gets the logit row [c_ik, b_ik, -vec(P_k)/2], with b_ik = P_k mu_ik and
+    c_ik = log w_ik - mu_ik' P_k mu_ik / 2 - log det C_k / 2 - (d/2) log 2 pi, and the folded
+    column [b_ik W_i, vec(P_k W_i)]. Returns the logit rows (J, 1 + d + d^2), each stack's
+    (K, n) group (its rows k-major) and the folded (d + d^2, J) matrix.
     """
-    n, K, d = means.shape
-    logdet = 2.0 * np.log(np.diagonal(np.linalg.cholesky(covs), axis1=-2, axis2=-1)).sum(-1)
-    precs = np.linalg.inv(covs)
-    precs = 0.5 * (precs + np.swapaxes(precs, -1, -2))
-    lin = np.einsum("kij,nkj->kni", precs, means)
-    quad = np.einsum("kni,nki->kn", lin, means)
-    const = log_w.T - 0.5 * (quad + (logdet + d * _LOG_2PI)[:, None])
-    half_precs = np.broadcast_to(-0.5 * precs.reshape(K, 1, d * d), (K, n, d * d))
-    return precs, np.concatenate([const[:, :, None], lin, half_precs], axis=2)
+    rows, groups, folded = [], [], []
+    for (log_w, means, covs), weights in stacks:
+        n, K, d = means.shape
+        means = np.sqrt(a) * means
+        covs = a * covs + (1.0 - a) * np.eye(d)
+        logdet = 2.0 * np.log(np.diagonal(np.linalg.cholesky(covs), axis1=-2, axis2=-1)).sum(-1)
+        precs = _symmetric_inverse(covs)
+        lin = np.einsum("kij,nkj->kni", precs, means)
+        quad = np.einsum("kni,nki->kn", lin, means)
+        const = log_w.T - 0.5 * (quad + (logdet + d * _LOG_2PI)[:, None])
+        half_precs = np.broadcast_to(-0.5 * precs.reshape(K, 1, d * d), (K, n, d * d))
+        rows.append(np.concatenate([const[:, :, None], lin, half_precs], axis=2).reshape(K * n, -1))
+        groups.append((K, n))
+        c = np.einsum("kni,nij->knj", lin, weights).reshape(-1, d)
+        m = np.einsum("kab,nbc->knac", precs, weights).reshape(-1, d * d)
+        folded.append(np.concatenate([c, m], axis=1))
+    return np.concatenate(rows), groups, np.concatenate(folded).T.copy()
 
 
-def _responsibilities(
-    rows: np.ndarray, theta_t: np.ndarray, groups: list[tuple[int, int]]
+def _kernel_score(
+    kernel: tuple[np.ndarray, list[tuple[int, int]], np.ndarray], theta_t: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Softmax responsibilities (J, N) at theta_t (d, N) of components with logit rows (J, F).
+    """The score sum_j r_j(theta) (c_j - theta M_j) (d, N) of a _mixture_kernel at theta_t (d, N).
 
-    A row [c, b, -vec(P)/2] (F = 1 + d + d^2) has the logit
-    c + b theta - theta' P theta / 2, so every logit comes from one product with
-    the features (1, theta, vec(theta theta')). The rows stack groups of (K, n)
-    components, k-major: n mixtures of K components each. The softmax runs over
-    the K components of each mixture, after shifting the logits by their
-    maximum, so a point far from every component still gets finite values.
-    Returns the responsibilities and, per group, the shift and the normalizer
+    A row [c, b, -vec(P)/2] has the logit c + b theta - theta' P theta / 2, so every logit
+    comes from one product with the features (1, theta, vec(theta theta')). The softmax
+    runs over the K components of each of a group's n mixtures, after shifting the logits
+    by their maximum, so a point far from every component still gets finite values. The
+    responsibilities R (J, N) give C' R and M' R in one product with the folded matrix, and
+    theta is contracted with M' R. Also returns, per group, the shift and the normalizer
     (n, N), whose shift + log(normalizer) is each mixture's log density.
     """
+    rows, groups, folded = kernel
     d, N = theta_t.shape
     feats = np.empty((1 + d + d * d, N))
     feats[0] = 1.0
@@ -541,40 +547,26 @@ def _responsibilities(
         logits /= total
         norms.append((top, total))
         start += K * n
-    return resp, norms
-
-
-def _mixture_scores(
-    prepared: tuple[np.ndarray, np.ndarray], theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and log densities at theta (N, d) of the mixtures _prepare set up.
-
-    Returns (scores (n, N, d), log_pdf (n, N)); the scores are a view of an
-    (n, d, N) array, so every reduction runs along the long chain axis.
-    """
-    precs, rows = prepared
-    K, n, F = rows.shape
-    theta_t = np.ascontiguousarray(theta.T)
-    resp, [(top, total)] = _responsibilities(rows.reshape(K * n, F), theta_t, [(K, n)])
-    resp = resp.reshape(K, n, -1)
-    lin = rows[:, :, 1 : theta_t.shape[0] + 1]
-    # sum_k r_ik (b_ik - P_k theta)
-    scores = np.einsum("kna,knc->nca", resp, lin) - np.einsum("kna,kca->nca", resp, precs @ theta_t)
-    return scores.transpose(0, 2, 1), top + np.log(total)
+    out = folded @ resp
+    score = out[:d]
+    score -= np.einsum("abn,an->bn", out[d:].reshape(d, d, -1), theta_t)
+    return score, norms
 
 
 def _evaluate(
-    params: tuple[np.ndarray, np.ndarray, np.ndarray], theta: np.ndarray
+    params: tuple[np.ndarray, np.ndarray, np.ndarray], theta: np.ndarray, a: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score and log density at theta (..., d) of the first of the stacked mixtures."""
+    """Score and log density at theta (..., d) of a stack of one mixture, diffused to alpha a."""
     theta = np.asarray(theta, dtype=float)
-    scores, log_pdf = _mixture_scores(_prepare(*params), theta.reshape(-1, theta.shape[-1]))
-    return scores[0].reshape(theta.shape), log_pdf[0].reshape(theta.shape[:-1])
+    d = theta.shape[-1]
+    kernel = _mixture_kernel([(params, np.eye(d)[None])], a)
+    score, [(top, total)] = _kernel_score(kernel, np.ascontiguousarray(theta.reshape(-1, d).T))
+    return score.T.reshape(theta.shape), (top + np.log(total)).reshape(theta.shape[:-1])
 
 
 def _diffused(task: Task, params, theta: np.ndarray, t: float, s: Schedule):
-    """Diffuse stacked time-0 mixture parameters to time t, then evaluate at theta."""
-    return _evaluate(_diffuse_stacked(*params, t, s), _check_theta(task, theta))
+    """Diffuse time-0 mixture parameters (a stack of one) to time t, then evaluate at theta."""
+    return _evaluate(params, _check_theta(task, theta), schedule_alpha(s, t))
 
 
 def prior_score(task: Task, theta: np.ndarray, t: float, s: Schedule) -> np.ndarray:

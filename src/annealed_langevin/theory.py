@@ -86,15 +86,15 @@ class _DiffusedProduct:
         first: dict[bytes, int] = {}  # the first Gaussian with each covariance, in order
         firsts = [first.setdefault(cov.tobytes(), i) for i, cov in enumerate(covs)]
         keep = list(first.values())
-        self.group = np.searchsorted(keep, firsts)
+        group = np.searchsorted(keep, firsts)
         weights = np.concatenate([[2.0 - count], np.ones(count - 1)])
         weighted_means = np.zeros((len(keep), d))
-        np.add.at(weighted_means, self.group, weights[:, None] * means)
-        self.eigvals, self.vecs = np.linalg.eigh(covs[keep])
+        np.add.at(weighted_means, group, weights[:, None] * means)
+        self.eigvals, vecs = np.linalg.eigh(covs[keep])
         # flat over (distinct covariance, eigenvalue), like the columns of the basis
-        self.weights = np.repeat(np.bincount(self.group, weights), d)
-        self.rotated = np.einsum("ikj,ik->ij", self.vecs, weighted_means).ravel()  # Q' sum w mu
-        self.basis = self.vecs.transpose(1, 0, 2).reshape(d, -1)  # [Q_0 Q_1 ...]
+        self.weights = np.repeat(np.bincount(group, weights), d)
+        self.rotated = np.einsum("ikj,ik->ij", vecs, weighted_means).ravel()  # Q' sum w mu
+        self.basis = vecs.transpose(1, 0, 2).reshape(d, -1)  # [Q_0 Q_1 ...]
 
     def __call__(self, alphas) -> tuple[np.ndarray, np.ndarray]:
         """Precisions (T, d, d) and precision-weighted means (T, d) at each of the alphas."""

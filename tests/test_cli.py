@@ -36,6 +36,10 @@ def test_resolve_config_materializes_defaults():
     wide = resolve_config({"task": {"dim": 10}})
     assert wide["tuning"]["omega"] == 0.8
     assert len(wide["task"]["prior"]["means"][0]) == 10
+    # an integral float is an integer; a fractional one is refused (test_main_rejects_bad_config)
+    whole = resolve_config({"task": {"dim": 3.0, "n": [2.0, 4]}, "sampling": {"chains": 1e2}})
+    assert whole["task"]["dim"] == 3 and whole["task"]["n"] == [2, 4]
+    assert whole["sampling"]["chains"] == 100 and isinstance(whole["sampling"]["chains"], int)
 
 
 def test_resolve_config_overrides():
@@ -58,6 +62,8 @@ def test_resolve_config_rejects_unknown_keys_and_bad_values():
         resolve_config({"method": "magic"})
     with pytest.raises(ValueError, match="eig_range"):
         resolve_config({"task": {"likelihood": {"random_spd": {"eig_range": [0, 1]}}}})
+    with pytest.raises(ValueError, match="task.dim must be an integer, got 2.7"):
+        resolve_config({"task": {"dim": 2.7}})
 
 
 def test_resolve_config_ignores_unused_eig_range():
@@ -115,6 +121,18 @@ def test_main_rejects_bad_config(tmp_path, capsys, monkeypatch):
             ("sample", {"schedule": {"beta_min": -1}}),
             ("tune", {"tuning": {"T": 200000}}),
             ("sample", {"sampling": {"chains": 0}}),
+            # integer values are refused, not truncated, when they have a
+            # fractional part or are booleans
+            ("tune", {"task": {"dim": 2.7}}),
+            ("tune", {"task": {"dim": True}}),
+            ("tune", {"task": {"data_seed": 0.5}}),
+            ("tune", {"task": {"n": 3.9}}),
+            ("sweep", {"task": {"n": [2, 3.5]}}),
+            ("tune", {"tuning": {"T": 4.5}}),
+            ("sample", {"sampling": {"chains": 64.8}}),
+            ("sample", {"sampling": {"chains": True}}),
+            ("sample", {"sampling": {"seed": 1.5}}),
+            ("sweep", {"sampling": {"seeds": [1, 2.5]}}),
         )
     ):
         path = _write_cfg(tmp_path / f"typed{i}.json", bad)
@@ -128,6 +146,20 @@ def test_main_rejects_bad_config(tmp_path, capsys, monkeypatch):
     assert main(["sample", "--config", path]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "3").exists()
+
+
+def test_unusable_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # an --out that names a file, or a directory below one, cannot be created:
+    # exit 2 before any cell runs, not a traceback
+    ran = []
+    monkeypatch.setattr(cli, "_run_cell", lambda *args: ran.append(args))
+    path = _write_cfg(tmp_path / "cfg.json", {})
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile, afile / "sub"):
+        assert main(["tune", "--config", path, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert ran == [] and afile.read_text() == ""
 
 
 def test_unknown_output_format_names_the_known_ones(tmp_path, capsys):

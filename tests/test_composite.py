@@ -151,13 +151,14 @@ def test_stacked_covariance_checks_reach_the_last_matrix(flaw, sched):
 @pytest.mark.parametrize("kind", ["gaussian", "gmm_prior"])
 def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
     # one conjugate update feeds the field's mixtures or bridges and the rule's
-    # spec, and the time-0 proxies are eigendecomposed once, not per level
-    # (linhart's bridges decompose their one time-0 composition too); no
-    # level inverts a bridge, and the gaussian field never sets up a mixture kernel
+    # spec. A gaussian field eigendecomposes its time-0 proxies once, not per
+    # level (linhart's bridges decompose their one time-0 composition too), and
+    # sets up no mixture kernel. A mixture field does no eigendecomposition: its
+    # spec inverts the time-0 covariances once, and each level sets up one kernel
     rng = np.random.default_rng(5)
     make = gaussian_task if kind == "gaussian" else gmm_prior_task
     task = make(rand_spd(rng, 2, 0.2, 1.0), rng.standard_normal((6, 2)))
-    calls = {"update": 0, "eigh": 0, "inverse": 0, "prepare": 0}
+    calls = {"update": 0, "eigh": 0, "bridge_inverse": 0, "spec_inverse": 0, "kernel": 0}
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -170,16 +171,19 @@ def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
     monkeypatch.setattr(tasks, "_conjugate_update", update)
     monkeypatch.setattr(composite, "_conjugate_update", update)
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(theory, "_spd_inverse", counted("inverse", theory._spd_inverse))
-    monkeypatch.setattr(composite, "_prepare", counted("prepare", composite._prepare))
+    monkeypatch.setattr(theory, "_spd_inverse", counted("bridge_inverse", theory._spd_inverse))
+    inverse = counted("spec_inverse", composite._symmetric_inverse)
+    monkeypatch.setattr(composite, "_symmetric_inverse", inverse)
+    monkeypatch.setattr(composite, "_mixture_kernel", counted("kernel", composite._mixture_kernel))
     factory = composite_field(task, method, sched)
     for p, t in enumerate(levels(sched, 10)[:-1]):
         factory(p, float(t))(rng.standard_normal((3, 2)), float(t))
     if kind == "gaussian":
         composed = int(method == "linhart")
-        assert calls == {"update": 1, "eigh": 1 + composed, "inverse": composed, "prepare": 0}
+        expected = dict(eigh=1 + composed, bridge_inverse=composed, spec_inverse=0, kernel=0)
     else:
-        assert calls == {"update": 1, "eigh": 1, "inverse": 0, "prepare": 20}
+        expected = dict(eigh=0, bridge_inverse=0, spec_inverse=1, kernel=10)
+    assert calls == {"update": 1, **expected}
 
 
 def test_gaussian_consistency_linhart_equals_joint(sched):

@@ -493,7 +493,10 @@ def test_mixture_kernel_matches_component_loop(K, n, d, log10_cond, seed):
     means = 2.0 * rng.standard_normal((n, K, d))
     log_w = rng.standard_normal((n, K))
     log_w -= logsumexp(log_w, axis=1, keepdims=True)
-    prepared = tasks._prepare(log_w, means, covs)
+    # the n mixtures weighted by random W_i, then mixture 0 again as a second group, by W_0
+    weights = rng.standard_normal((n + 1, d, d))
+    stacks = [((log_w, means, covs), weights[1:]), ((log_w[:1], means[:1], covs), weights[:1])]
+    kernel = tasks._mixture_kernel(stacks, 1.0)
 
     def within(radius, i, k, count):  # points at Mahalanobis distance radius from mean (i, k)
         z = rng.standard_normal((count, d))
@@ -513,12 +516,16 @@ def test_mixture_kernel_matches_component_loop(K, n, d, log10_cond, seed):
         far = means[0, 0] + 1.2 * (far - means[0, 0])
     for theta in (near, far):
         ref_scores, ref_log_pdf, logits = _mixture_reference(log_w, means, covs, theta)
-        scores, log_pdf = tasks._mixture_scores(prepared, theta)
-        assert scores.shape == (n, len(theta), d) and log_pdf.shape == (n, len(theta))
-        assert np.isfinite(scores).all() and np.isfinite(log_pdf).all()
-        np.testing.assert_allclose(log_pdf, ref_log_pdf, rtol=1e-9)
-        scale = np.abs(ref_scores).max()
-        np.testing.assert_allclose(scores, ref_scores, rtol=1e-9, atol=1e-9 * scale)
+        ref = np.einsum("iad,ide->ae", ref_scores, weights[1:]) + ref_scores[0] @ weights[0]
+        score, norms = tasks._kernel_score(kernel, np.ascontiguousarray(theta.T))
+        assert score.shape == (d, len(theta)) and np.isfinite(score).all()
+        for (top, total), expected in zip(norms, (ref_log_pdf, ref_log_pdf[:1])):
+            log_pdf = top + np.log(total)
+            assert log_pdf.shape == expected.shape and np.isfinite(log_pdf).all()
+            np.testing.assert_allclose(log_pdf, expected, rtol=1e-9)
+        # each term s_i W_i is exact to rounding; their sum may cancel
+        scale = np.abs(ref_scores).max() * np.abs(weights).max() * (n + 1) * d
+        np.testing.assert_allclose(score.T, ref, rtol=1e-9, atol=1e-9 * scale)
     assert logits.max() < -745.0  # exp of every far-tail component log density is 0
 
 
