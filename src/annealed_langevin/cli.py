@@ -42,7 +42,7 @@ __all__ = ["SCHEMA_VERSION", "load_config", "resolve_config", "build_task", "mai
 SCHEMA_VERSION = 1
 
 _PLAN_COLUMNS = ("t", "h", "k", "m", "M", "w2_next", "B")
-_FORMATS = ("csv", "json", "npy")
+_FORMATS = ("csv", "npy")  # reports are always JSON
 
 
 def _default_config() -> dict:
@@ -71,7 +71,7 @@ def _default_config() -> dict:
         },
         "schedule": {"beta_min": 0.1, "beta_max": 20.0, "t_floor": 1e-5},
         "sampling": {"chains": 3000, "seed": 0, "seeds": None},
-        "output": {"directory": "runs", "formats": ["csv", "json"]},
+        "output": {"directory": "runs", "formats": ["csv"]},
     }
 
 
@@ -97,10 +97,17 @@ def load_config(path: str | Path) -> dict:
 
 
 def _int(value, name: str) -> int:
-    """value as an int; a boolean or a number with a fractional part is refused, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """value as an int; a string, a boolean or a number with a fractional part is refused."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _float(value, name: str) -> float:
+    """value as a float; a string or a boolean is refused, not parsed (" 7 ") or read as 0/1."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def resolve_config(
@@ -134,8 +141,8 @@ def resolve_config(
         raise ValueError("task.n list must be nonempty")
     like = task["likelihood"]
     if task["kind"] != "gmm_likelihood" and like["cov"] is None:  # only then is it used
-        spd = like["random_spd"]
-        lo, hi = spd["eig_range"] = [float(v) for v in spd["eig_range"]]
+        spd, name = like["random_spd"], "task.likelihood.random_spd.eig_range"
+        lo, hi = spd["eig_range"] = [_float(v, name) for v in spd["eig_range"]]
         if not 0 < lo <= hi:
             raise ValueError("task.likelihood.random_spd.eig_range must satisfy 0 < low <= high")
     if dim < 1:
@@ -148,10 +155,10 @@ def resolve_config(
     if tune["omega"] is None:
         tune["omega"] = 0.8 if dim >= 10 else 0.5
     for key in ("gamma", "omega", "eps_dsm_prior", "eps_dsm_post"):
-        tune[key] = float(tune[key])
+        tune[key] = _float(tune[key], f"tuning.{key}")
     tune["T"] = _int(tune["T"], "tuning.T")
     for key in ("beta_min", "beta_max", "t_floor"):
-        cfg["schedule"][key] = float(cfg["schedule"][key])
+        cfg["schedule"][key] = _float(cfg["schedule"][key], f"schedule.{key}")
     output = cfg["output"]
     if not isinstance(output["directory"], str):
         raise ValueError("output.directory must be a string")
@@ -397,15 +404,7 @@ def _write_sample(cfg: dict, out_dir: Path, records: list[dict], total_s: float)
 def _write_sweep(cfg: dict, out_dir: Path, records: list[dict], total_s: float) -> None:
     records = [_public(record) for record in records]
     cell_columns = [
-        "n",
-        "seed",
-        "method",
-        "status",
-        "total_steps",
-        "final_w2",
-        "global_bound",
-        "proxy",
-        "error",
+        "n", "seed", "method", "status", "total_steps", "final_w2", "global_bound", "proxy", "error"
     ]
     with open(out_dir / "sweep_cells.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=cell_columns)
@@ -417,12 +416,7 @@ def _write_sweep(cfg: dict, out_dir: Path, records: list[dict], total_s: float) 
     for n, method in dict.fromkeys((r["n"], r["method"]) for r in records):
         cell = [r for r in records if r["n"] == n and r["method"] == method]
         ok = [r for r in cell if r["status"] == "ok"]
-        row = {
-            "n": n,
-            "method": method,
-            "cells": len(cell),
-            "failures": len(cell) - len(ok),
-        }
+        row = {"n": n, "method": method, "cells": len(cell), "failures": len(cell) - len(ok)}
         for field in ("total_steps", "final_w2"):
             values = np.array([r[field] for r in ok], dtype=float)
             row[f"{field}_mean"] = float(values.mean()) if values.size else ""

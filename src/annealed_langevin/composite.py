@@ -24,18 +24,17 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .schedule import Schedule, alpha as schedule_alpha
 from .tasks import (
+    GaussianDist,
     ScoreField,
     Task,
-    _as_spd,
     _conjugate_update,
     _kernel_score,
     _mixture_kernel,
     _proxies,
-    _symmetric_inverse,
     gaussian_proxies,
     prior_dist,
 )
-from .theory import _bridge_rule, _check_method
+from .theory import _bridge_rule, _check_method, _ProxySetup
 
 __all__ = [
     "CompositeSpec",
@@ -49,36 +48,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompositeSpec:
-    """Aggregation method plus the covariance proxies the linhart weights need.
-
-    One batched inverse of the checked time-0 covariances gives P_prior and the
-    P_i, and their composition is P_c = (1-n) P_prior + sum_i P_i; no level
-    needs an inverse.
-    """
+    """Aggregation method plus the covariance proxies the linhart weights need, set up once
+    (theory._ProxySetup: one inverse per distinct covariance, and P_c); no level inverts."""
 
     method: str
     n: int
     post_covs: np.ndarray  # (n, d, d)
     prior_cov: np.ndarray  # (d, d)
     sched: Schedule
-    precs: np.ndarray = field(init=False, repr=False)  # (n+1, d, d): P_prior, then each P_i
-    composed_prec: np.ndarray = field(init=False, repr=False)  # P_c (d, d)
+    proxies: _ProxySetup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_method(self.method)
-        if self.n < 1:
-            raise ValueError("need at least one observation")
-        post = _as_spd(self.post_covs, "post_covs")
-        if post.ndim != 3 or post.shape[0] != self.n:
-            raise ValueError("post_covs must be (n, d, d)")
-        prior = _as_spd(self.prior_cov, "prior_cov")
-        if prior.shape != post.shape[1:]:
-            raise ValueError("prior_cov dimension disagrees with post_covs")
-        precs = _symmetric_inverse(np.concatenate([prior[None], post]))
-        object.__setattr__(self, "post_covs", post)
-        object.__setattr__(self, "prior_cov", prior)
-        object.__setattr__(self, "precs", precs)
-        object.__setattr__(self, "composed_prec", (1 - self.n) * precs[0] + precs[1:].sum(axis=0))
+        prior = GaussianDist(np.zeros(np.shape(self.prior_cov)[:1]), self.prior_cov)
+        proxies = _ProxySetup(prior, np.zeros((self.n, prior.dim)), self.post_covs)
+        object.__setattr__(self, "proxies", proxies)
 
 
 def spec_for_task(task: Task, method: str, s: Schedule) -> CompositeSpec:
@@ -87,32 +71,34 @@ def spec_for_task(task: Task, method: str, s: Schedule) -> CompositeSpec:
     return CompositeSpec(method, task.n, post_covs, prior.cov, s)
 
 
-def _level_weights(spec: CompositeSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
+def _level_weights(
+    proxies: _ProxySetup, method: str, s: Schedule, t: float
+) -> tuple[np.ndarray, np.ndarray]:
     """The rule's weights at level t: the composite score is s_0 W_0 + sum_i s_i W_i.
 
     Scores are row vectors. geffner has W_0 = (1-n) I and W_i = I. linhart,
     with the backward-kernel precisions P_{t,i} = P_i + (alpha_t/v_t) I and
     Lambda_t = P_c + (alpha_t/v_t) I, has W_0 = (1-n) P_{t,0} Lambda_t^{-1} and
-    W_i = P_{t,i} Lambda_t^{-1} (P, Lambda symmetric: Lambda^-1 P s' = (s P Lambda^-1)').
-    Returns W_0 (d, d) and the W_i (n, d, d). The Cholesky factor of Lambda_t
-    is the check: an indefinite Lambda_t is a linear-algebra error, and nothing
-    is regularized.
+    W_i = P_{t,i} Lambda_t^{-1} (P, Lambda symmetric: Lambda^-1 P s' = (s P Lambda^-1)'),
+    one product per distinct covariance. Returns W_0 (d, d) and the W_i (n, d, d).
+    The Cholesky factor of Lambda_t is the check: an indefinite Lambda_t is a
+    linear-algebra error, and nothing is regularized.
     """
-    d = spec.prior_cov.shape[0]
-    if spec.method == "geffner":
+    n, d = proxies.n, proxies.covs.shape[-1]
+    if method == "geffner":
         eye = np.eye(d)
-        return (1 - spec.n) * eye, np.broadcast_to(eye, (spec.n, d, d))
-    a = schedule_alpha(spec.sched, t)
+        return (1 - n) * eye, np.broadcast_to(eye, (n, d, d))
+    a = schedule_alpha(s, t)
     noise = 1.0 - a
     if noise <= 0:
         raise ValueError("backward-kernel weights need t > 0")
     shrink = (a / noise) * np.eye(d)
     try:
-        lam_factor = cho_factor(spec.composed_prec + shrink, lower=True)
+        lam_factor = cho_factor(proxies.composed_prec + shrink, lower=True)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"lambda matrix is not positive definite at t={t:g}") from exc
-    weights = (spec.precs + shrink) @ cho_solve(lam_factor, np.eye(d))  # prior first
-    return (1 - spec.n) * weights[0], weights[1:]
+    weights = ((proxies.precs + shrink) @ cho_solve(lam_factor, np.eye(d)))[proxies.group]
+    return (1 - n) * weights[0], weights[1:]  # prior first
 
 
 def _compose(
@@ -132,7 +118,7 @@ def _compose(
     d = theta.shape[-1]
     prior = np.asarray(prior_score(theta, t), dtype=float).reshape(-1, d)
     posts = np.array([np.asarray(f(theta, t), dtype=float).reshape(-1, d) for f in post_scores])
-    prior_weight, post_weights = _level_weights(spec, t)
+    prior_weight, post_weights = _level_weights(spec.proxies, method, spec.sched, t)
     out = prior @ prior_weight + np.matmul(posts, post_weights).sum(axis=0)
     return out.reshape(theta.shape)
 
@@ -181,32 +167,29 @@ def compose_dsm_error(eps_prior: float, eps_post: float, n: int, method: str) ->
 def composite_field(task: Task, method: str, s: Schedule):
     """Level-score factory for annealed sampling: (level_index, t) -> ScoreField.
 
-    On a one-component task each level's field is the score lin_t - theta P_t of
-    the method's bridge, with precision P_t and precision-weighted mean lin_t
-    read straight from the bridge rule (theory._bridge_rule, built once), one
-    matrix product per step. On a mixture each level's field is one mixture
-    kernel (tasks._mixture_kernel), set up once per level from the posteriors
-    weighted by the W_i and the prior weighted by W_0 (_level_weights).
+    Both branches read one proxy set-up (theory._ProxySetup). On a one-component task
+    each level's field is the score lin_t - theta P_t of the method's bridge, read from
+    the bridge rule (theory._bridge_rule, built once): one matrix product per step. On
+    a mixture each level's field is one mixture kernel (tasks._mixture_kernel), set up
+    per level from the posteriors weighted by the W_i and the prior by W_0 (_level_weights).
     """
     _check_method(method)
     if task.n < 1:
         raise ValueError("need at least one observation")
     base_post = _conjugate_update(task, task.observations[:, None])
-    proxies = _proxies(task, base_post)
+    proxies = _ProxySetup(*_proxies(task, base_post))  # the proxies of these very mixtures
     if task.one_component:
-        rule = _bridge_rule(*proxies, method)
+        rule = _bridge_rule(proxies, method)
 
         def bridge_factory(level_index: int, t: float) -> ScoreField:
             (prec,), (lin,) = rule(schedule_alpha(s, t))
             return lambda theta, t_arg: lin - theta @ prec
 
         return bridge_factory
-    # the proxies come from the same conjugate update as the mixtures
-    spec = CompositeSpec(method, task.n, proxies[2], proxies[0].cov, s)
     base_prior = prior_dist(task)._params()
 
     def factory(level_index: int, t: float) -> ScoreField:
-        prior_weight, post_weights = _level_weights(spec, t)
+        prior_weight, post_weights = _level_weights(proxies, method, s, t)
         stacks = [(base_post, post_weights), (base_prior, prior_weight[None])]
         kernel = _mixture_kernel(stacks, schedule_alpha(s, t))
         return lambda theta, t_arg: _kernel_score(kernel, np.ascontiguousarray(theta.T))[0].T

@@ -1,10 +1,10 @@
 """Closed-form Gaussian bridging distributions and their Langevin-relevant constants.
 
-Builds every bridging Gaussian from moment-matched proxies by one rule, the
-weighted product of diffused Gaussians (exact on a one-component task), and
-provides the exact scalar log-concavity/smoothness constants of the Gaussian
-bridges, their geffner-minus-linhart gap, and the analytic 2-Wasserstein
-distance between Gaussians.
+Builds every bridging Gaussian from one set-up of the moment-matched proxies
+(exact on a one-component task): geffner's product of the diffused proxies, or
+linhart's time-0 composition of them, diffused. Also gives the exact scalar
+log-concavity/smoothness constants of the Gaussian bridges, their
+geffner-minus-linhart gap, and the analytic 2-Wasserstein distance between Gaussians.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .schedule import Schedule, alpha as schedule_alpha, v as schedule_v
-from .tasks import GaussianDist, Task, _as_spd, _spd_inverse, gaussian_proxies
+from .tasks import GaussianDist, Task, _as_spd, _spd_inverse, _symmetric_inverse, gaussian_proxies
 
 __all__ = [
     "METHODS",
@@ -70,30 +70,51 @@ def bridging_moments(task: Task, method: str, t: float, s: Schedule) -> Gaussian
     return proxy_bridge(*gaussian_proxies(task), method, [t], s)[0]
 
 
-class _DiffusedProduct:
-    """prior^(1-n) * prod_i posterior_i over n+1 Gaussians N(mu_i, C_i), prior first, diffused.
+class _ProxySetup:
+    """The n+1 moment-matched proxies of one task, prior first, set up once for both rules.
 
-    Diffusion to alpha maps N(mu, C) to N(sqrt(a) mu, a C + (1-a) I), which keeps the
-    eigenvectors of C = Q diag(lam) Q'. So the Gaussians (whose covariances the caller has
-    checked SPD) are eigendecomposed once, here, equal covariances once between them, and at
-    any alpha the product's precision sum_i w_i Q_i diag(g_i) Q_i', with w = (1-n, 1, ..., 1)
-    and g_i = 1/(a lam_i + 1 - a), and its precision-weighted mean are each one product over
-    the stacked eigenbases.
+    The posterior covariances are checked SPD (the prior's is, as a GaussianDist), equal ones
+    grouped (a one-component task's n posterior proxies share one) and each distinct one
+    inverted once (precs), which gives the time-0 composition prior^(1-n) prod_i posterior_i:
+    precision P_c = (1-n) P_0 + sum_i P_i, precision-weighted mean (1-n) P_0 mu_0 + sum_i P_i mu_i.
     """
 
-    def __init__(self, means: np.ndarray, covs: np.ndarray) -> None:
-        count, d = means.shape
-        first: dict[bytes, int] = {}  # the first Gaussian with each covariance, in order
+    def __init__(self, prior: GaussianDist, post_means, post_covs) -> None:
+        post_covs = _as_spd(post_covs, "post_covs")
+        n, d = len(post_covs), prior.dim
+        if n < 1 or np.shape(post_means) != (n, d) or post_covs.shape != (n, d, d):
+            got = f"{np.shape(post_means)} and {post_covs.shape}"
+            raise ValueError(f"need posterior means (n, {d}) and covs (n, {d}, {d}), n > 0: {got}")
+        covs = np.concatenate([prior.cov[None], post_covs])
+        first: dict[bytes, int] = {}  # the first proxy with each covariance, in order
         firsts = [first.setdefault(cov.tobytes(), i) for i, cov in enumerate(covs)]
         keep = list(first.values())
-        group = np.searchsorted(keep, firsts)
-        weights = np.concatenate([[2.0 - count], np.ones(count - 1)])
-        weighted_means = np.zeros((len(keep), d))
-        np.add.at(weighted_means, group, weights[:, None] * means)
-        self.eigvals, vecs = np.linalg.eigh(covs[keep])
+        weights = np.concatenate([[1.0 - n], np.ones(n)])
+        self.n, self.group, self.covs = n, np.searchsorted(keep, firsts), covs[keep]
+        self.weights = np.bincount(self.group, weights)  # each distinct covariance's total
+        self.weighted_means = np.zeros((len(keep), d))  # and its sum of w_i mu_i
+        means = np.concatenate([prior.mean[None], post_means])
+        np.add.at(self.weighted_means, self.group, weights[:, None] * means)
+        self.precs = _symmetric_inverse(self.covs)
+        self.composed_prec = np.tensordot(self.weights, self.precs, 1)
+        self.composed_lin = np.einsum("gij,gj->i", self.precs, self.weighted_means)
+
+
+class _DiffusedProduct:
+    """geffner's bridges: prior^(1-n) * prod_i posterior_i over the set-up's proxies, each diffused.
+
+    Diffusion to alpha maps N(mu, C) to N(sqrt(a) mu, a C + (1-a) I), which keeps the
+    eigenvectors of C = Q diag(lam) Q'. So each distinct covariance is eigendecomposed once, and
+    at any alpha the precision sum_g w_g Q_g diag(1/(a lam_g + 1 - a)) Q_g' (w_g: the group's
+    total weight) and precision-weighted mean are each one product over the stacked eigenbases.
+    """
+
+    def __init__(self, proxies: _ProxySetup) -> None:
+        d = proxies.covs.shape[-1]
+        self.eigvals, vecs = np.linalg.eigh(proxies.covs)
         # flat over (distinct covariance, eigenvalue), like the columns of the basis
-        self.weights = np.repeat(np.bincount(group, weights), d)
-        self.rotated = np.einsum("ikj,ik->ij", vecs, weighted_means).ravel()  # Q' sum w mu
+        self.weights = np.repeat(proxies.weights, d)
+        self.rotated = np.einsum("ikj,ik->ij", vecs, proxies.weighted_means).ravel()  # Q' sum w mu
         self.basis = vecs.transpose(1, 0, 2).reshape(d, -1)  # [Q_0 Q_1 ...]
 
     def __call__(self, alphas) -> tuple[np.ndarray, np.ndarray]:
@@ -106,28 +127,28 @@ class _DiffusedProduct:
         return 0.5 * (precs + np.swapaxes(precs, -1, -2)), lins
 
 
-def _bridge_rule(
-    prior_proxy: GaussianDist, post_means: np.ndarray, post_covs: np.ndarray, method: str
-) -> _DiffusedProduct:
-    """The product whose value at alpha_t is the method's level-t bridge: geffner's n+1 proxies,
-    each diffused, or linhart's time-0 composition (alpha = 1), which must be definite, alone."""
-    _check_method(method)
-    n, d = len(post_means), prior_proxy.dim
-    if n < 1 or np.shape(post_means)[1:] != (d,) or np.shape(post_covs) != (n, d, d):
-        raise ValueError("need one or more posterior proxies of the prior's dimension")
-    means = np.concatenate([prior_proxy.mean[None], post_means])
-    covs = _as_spd(np.concatenate([prior_proxy.cov[None], post_covs]), "proxy covariance")
-    rule = _DiffusedProduct(means, covs)
-    if method == "linhart":
-        (prec,), (lin,) = rule(1.0)
-        cov = _spd_inverse(prec, "composed precision")
-        rule = _DiffusedProduct((cov @ lin)[None], cov[None])
-    return rule
+def _bridge_rule(proxies: _ProxySetup, method: str):
+    """alphas -> the method's bridges' precisions (T, d, d) and precision-weighted means (T, d).
+
+    geffner multiplies the proxies, each diffused (_DiffusedProduct); linhart diffuses the
+    set-up's time-0 composition N(m, C), which must be definite, to (a C + (1-a) I)^-1 and
+    sqrt(a) (a C + (1-a) I)^-1 m, with no eigendecomposition."""
+    if _check_method(method) == "geffner":
+        return _DiffusedProduct(proxies)
+    cov = _spd_inverse(proxies.composed_prec, "composed precision")
+    mean, eye = cov @ proxies.composed_lin, np.eye(len(cov))
+
+    def diffused(alphas) -> tuple[np.ndarray, np.ndarray]:
+        a = np.atleast_1d(alphas)[:, None, None]
+        precs = _symmetric_inverse(a * cov + (1.0 - a) * eye)
+        return precs, np.sqrt(a[:, 0]) * (precs @ mean)
+
+    return diffused
 
 
-def _bridges(proxies: tuple, method: str, times, s: Schedule) -> tuple[np.ndarray, list]:
+def _bridges(proxies: _ProxySetup, method: str, times, s: Schedule) -> tuple[np.ndarray, list]:
     """The bridges' precisions (T, d, d) and the bridges at each of the times (see proxy_bridge)."""
-    precs, lins = _bridge_rule(*proxies, method)(schedule_alpha(s, times))
+    precs, lins = _bridge_rule(proxies, method)(schedule_alpha(s, times))
     covs = _spd_inverse(precs, "composed precision")
     return precs, [GaussianDist(mean=cov @ lin, cov=cov) for cov, lin in zip(covs, lins)]
 
@@ -143,8 +164,8 @@ def proxy_bridge(
     """Bridging Gaussians at each of the times, from moment-matched proxies (see gaussian_proxies).
 
     linhart diffuses the time-0 composition to each time; geffner composes the proxies diffused
-    to each time, and a failed composition names the index of its time (_bridge_rule)."""
-    return _bridges((prior_proxy, post_means, post_covs), method, times, s)[1]
+    to each time, and a failed composition names the index of its time (_bridges)."""
+    return _bridges(_ProxySetup(prior_proxy, post_means, post_covs), method, times, s)[1]
 
 
 def gaussian_constants(

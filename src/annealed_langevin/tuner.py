@@ -17,7 +17,7 @@ import numpy as np
 from .schedule import Schedule, levels
 from .tasks import Task, gaussian_proxies
 from .theory import bridging_moments, proxy_bridge  # noqa: F401  (perfbench/worker.py needs them)
-from .theory import _bridges, _check_method, gaussian_w2
+from .theory import _bridges, _check_method, _ProxySetup, gaussian_w2
 
 __all__ = [
     "TuningError",
@@ -201,7 +201,7 @@ def plan(task: Task, method: str, cfg: TuningConfig, s: Schedule) -> LevelPlan:
     times = levels(s, cfg.T)
     d = task.dim
     try:
-        precs, bridges = _bridges(gaussian_proxies(task), method, times, s)
+        precs, bridges = _bridges(_ProxySetup(*gaussian_proxies(task)), method, times, s)
     except ValueError as exc:
         raise TuningError(f"bridging densities: {exc}") from exc
     eigs = np.linalg.eigvalsh(precs[:-1])

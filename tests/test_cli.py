@@ -133,6 +133,25 @@ def test_main_rejects_bad_config(tmp_path, capsys, monkeypatch):
             ("sample", {"sampling": {"chains": True}}),
             ("sample", {"sampling": {"seed": 1.5}}),
             ("sweep", {"sampling": {"seeds": [1, 2.5]}}),
+            # strings and booleans are refused in every numeric field, not
+            # parsed or read as 0/1
+            ("tune", {"task": {"dim": "3"}}),
+            ("tune", {"task": {"n": "4"}}),
+            ("sweep", {"task": {"n": [2, "4"]}}),
+            ("tune", {"task": {"data_seed": "0"}}),
+            ("tune", {"tuning": {"T": " 7 "}}),
+            ("tune", {"tuning": {"gamma": "0.5"}}),
+            ("tune", {"tuning": {"gamma": True}}),
+            ("tune", {"tuning": {"omega": "0.5"}}),
+            ("tune", {"tuning": {"eps_dsm_post": False}}),
+            ("tune", {"schedule": {"beta_max": "20"}}),
+            ("tune", {"schedule": {"beta_min": True}}),
+            ("tune", {"task": {"likelihood": {"random_spd": {"eig_range": ["0.02", 0.1]}}}}),
+            ("sample", {"sampling": {"chains": "64"}}),
+            ("sample", {"sampling": {"seed": "1"}}),
+            ("sweep", {"sampling": {"seeds": [1, "2"]}}),
+            # reports are always JSON, so "json" is no output format
+            ("sample", {"output": {"formats": ["json"]}}),
         )
     ):
         path = _write_cfg(tmp_path / f"typed{i}.json", bad)
@@ -166,8 +185,19 @@ def test_unknown_output_format_names_the_known_ones(tmp_path, capsys):
     path = _write_cfg(tmp_path / "formats.json", {"output": {"formats": ["parquet"]}})
     out = tmp_path / "out"
     assert main(["sample", "--config", path, "--out", str(out)]) == 2
-    assert "output.formats must be a list drawn from csv, json, npy" in capsys.readouterr().err
+    assert "output.formats must be a list drawn from csv, npy" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sample_writes_csv_samples_by_default(tmp_path):
+    # the samples file perfbench reads: the default formats are ["csv"] alone
+    assert resolve_config({})["output"]["formats"] == ["csv"]
+    path = _write_cfg(tmp_path / "cfg.json", dict(BASE, method="linhart"))
+    assert main(["sample", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "sample.json",
+        "samples_linhart.csv",
+    ]
 
 
 def test_null_in_likelihood_cov_is_named_non_finite(tmp_path, capsys):

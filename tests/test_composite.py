@@ -131,7 +131,7 @@ def test_lambda_is_spd_on_gaussian_tasks(sched, d, n, log10_lo, log10_cond, t, s
     lo = 10.0**log10_lo
     task = gaussian_task(rand_spd(rng, d, lo, lo * 10.0**log10_cond), rng.standard_normal((n, d)))
     spec = spec_for_task(task, "linhart", sched)
-    prior_weight, post_weight = composite._level_weights(spec, t)
+    prior_weight, post_weight = composite._level_weights(spec.proxies, "linhart", sched, t)
     total = prior_weight + post_weight.reshape(n, d, d).sum(axis=0)
     np.testing.assert_allclose(total, np.eye(d), rtol=0, atol=1e-10)
 
@@ -150,15 +150,17 @@ def test_stacked_covariance_checks_reach_the_last_matrix(flaw, sched):
 @pytest.mark.parametrize("method", ["geffner", "linhart"])
 @pytest.mark.parametrize("kind", ["gaussian", "gmm_prior"])
 def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
-    # one conjugate update feeds the field's mixtures or bridges and the rule's
-    # spec. A gaussian field eigendecomposes its time-0 proxies once, not per
-    # level (linhart's bridges decompose their one time-0 composition too), and
-    # sets up no mixture kernel. A mixture field does no eigendecomposition: its
-    # spec inverts the time-0 covariances once, and each level sets up one kernel
+    # one conjugate update feeds one proxy set-up, which both branches read; it
+    # inverts each distinct covariance once (a gaussian task's n equal posterior
+    # covariances are one matrix). A gaussian field's bridge rule is built once,
+    # not per level: geffner eigendecomposes the distinct covariances once, and
+    # linhart inverts the time-0 composition once and eigendecomposes nothing.
+    # A mixture field does no eigendecomposition, and each level sets up one kernel
     rng = np.random.default_rng(5)
     make = gaussian_task if kind == "gaussian" else gmm_prior_task
     task = make(rand_spd(rng, 2, 0.2, 1.0), rng.standard_normal((6, 2)))
-    calls = {"update": 0, "eigh": 0, "bridge_inverse": 0, "spec_inverse": 0, "kernel": 0}
+    calls = {"update": 0, "eigh": 0, "bridge_inverse": 0, "kernel": 0}
+    inverted = []
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -167,23 +169,28 @@ def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
 
         return wrapper
 
+    def setup(*args):
+        proxies = theory._ProxySetup(*args)
+        inverted.append(len(proxies.precs))
+        return proxies
+
     update = counted("update", tasks._conjugate_update)
     monkeypatch.setattr(tasks, "_conjugate_update", update)
     monkeypatch.setattr(composite, "_conjugate_update", update)
+    monkeypatch.setattr(composite, "_ProxySetup", setup)
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(theory, "_spd_inverse", counted("bridge_inverse", theory._spd_inverse))
-    inverse = counted("spec_inverse", composite._symmetric_inverse)
-    monkeypatch.setattr(composite, "_symmetric_inverse", inverse)
     monkeypatch.setattr(composite, "_mixture_kernel", counted("kernel", composite._mixture_kernel))
     factory = composite_field(task, method, sched)
     for p, t in enumerate(levels(sched, 10)[:-1]):
         factory(p, float(t))(rng.standard_normal((3, 2)), float(t))
     if kind == "gaussian":
-        composed = int(method == "linhart")
-        expected = dict(eigh=1 + composed, bridge_inverse=composed, spec_inverse=0, kernel=0)
+        linhart = int(method == "linhart")
+        expected = dict(eigh=1 - linhart, bridge_inverse=linhart, kernel=0)
     else:
-        expected = dict(eigh=0, bridge_inverse=0, spec_inverse=1, kernel=10)
+        expected = dict(eigh=0, bridge_inverse=0, kernel=10)
     assert calls == {"update": 1, **expected}
+    assert inverted == [2 if kind == "gaussian" else task.n + 1]
 
 
 def test_gaussian_consistency_linhart_equals_joint(sched):

@@ -151,20 +151,28 @@ def test_plan_mixture_prior_uses_proxies(method, sched):
 
 
 def test_linhart_plan_composes_the_proxies_once(sched, monkeypatch):
-    # linhart's bridges all diffuse one time-0 composition, whatever T is:
-    # the diffused-product rule runs once at alpha = 1, then once over the levels
-    calls = []
-    rule = theory._DiffusedProduct.__call__
+    # linhart's bridges all diffuse one time-0 composition, whatever T is: the
+    # proxy set-up inverts each distinct covariance once (a gaussian task's n
+    # equal posterior covariances are one), and the bridge rule is called once,
+    # over the levels only, with no eigendecomposition. Distinct proxies (a
+    # gmm_prior task's) change none of that but the number of inverses
+    rng = np.random.default_rng(2)
+    distinct = gmm_prior_task(np.eye(2) * 0.05, rng.standard_normal((30, 2)))
+    for task, inverted in ((make_gaussian_task(seed=2, dim=10, n=30), 2), (distinct, 31)):
+        calls, setups, eighs = [], [], []
+        rule = theory._bridge_rule
 
-    def counted(self, alphas):
-        calls.append(np.atleast_1d(alphas).copy())
-        return rule(self, alphas)
+        def counted_rule(proxies, method):
+            setups.append(len(proxies.precs))
+            product = rule(proxies, method)
+            return lambda alphas: calls.append(np.atleast_1d(alphas).size) or product(alphas)
 
-    monkeypatch.setattr(theory._DiffusedProduct, "__call__", counted)
-    task = make_gaussian_task(seed=2, dim=10, n=30)
-    lp = plan(task, "linhart", TuningConfig(gamma=0.5, omega=0.5, T=10), sched)
-    assert lp.T == 10 and len(calls) == 2
-    assert calls[0].tolist() == [1.0] and calls[1].size == 11
+        monkeypatch.setattr(theory, "_bridge_rule", counted_rule)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: eighs.append(a) or eigh(*a))
+        lp = plan(task, "linhart", TuningConfig(gamma=0.5, omega=0.5, T=10), sched)
+        monkeypatch.undo()
+        assert lp.T == 10 and calls == [11] and setups == [inverted] and eighs == []
 
 
 def test_gaussian_proxy_moments():
