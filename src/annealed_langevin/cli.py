@@ -404,7 +404,15 @@ def _write_sample(cfg: dict, out_dir: Path, records: list[dict], total_s: float)
 def _write_sweep(cfg: dict, out_dir: Path, records: list[dict], total_s: float) -> None:
     records = [_public(record) for record in records]
     cell_columns = [
-        "n", "seed", "method", "status", "total_steps", "final_w2", "global_bound", "proxy", "error"
+        "n",
+        "seed",
+        "method",
+        "status",
+        "total_steps",
+        "final_w2",
+        "global_bound",
+        "proxy",
+        "error",
     ]
     with open(out_dir / "sweep_cells.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=cell_columns)
@@ -416,7 +424,12 @@ def _write_sweep(cfg: dict, out_dir: Path, records: list[dict], total_s: float) 
     for n, method in dict.fromkeys((r["n"], r["method"]) for r in records):
         cell = [r for r in records if r["n"] == n and r["method"] == method]
         ok = [r for r in cell if r["status"] == "ok"]
-        row = {"n": n, "method": method, "cells": len(cell), "failures": len(cell) - len(ok)}
+        row = {
+            "n": n,
+            "method": method,
+            "cells": len(cell),
+            "failures": len(cell) - len(ok),
+        }
         for field in ("total_steps", "final_w2"):
             values = np.array([r[field] for r in ok], dtype=float)
             row[f"{field}_mean"] = float(values.mean()) if values.size else ""
@@ -463,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         sched, cells = _grid(cfg, args.command)
         out_dir = Path(cfg["output"]["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)  # last: nothing is written before this
-    except (OSError, ValueError, TypeError) as exc:  # a wrongly typed value is a config error
+    except (OSError, ValueError, TypeError, OverflowError) as exc:  # wrong type or range
         print(f"error: {exc}", file=sys.stderr)
         return 2
     tune_only, keep_points = args.command == "tune", args.command == "sample"

@@ -49,7 +49,7 @@ __all__ = [
 @dataclass(frozen=True)
 class CompositeSpec:
     """Aggregation method plus the covariance proxies the linhart weights need, set up once
-    (theory._ProxySetup: one inverse per distinct covariance, and P_c); no level inverts."""
+    (theory._ProxySetup: for linhart one inverse per distinct covariance, and P_c)."""
 
     method: str
     n: int
@@ -59,9 +59,8 @@ class CompositeSpec:
     proxies: _ProxySetup = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _check_method(self.method)
         prior = GaussianDist(np.zeros(np.shape(self.prior_cov)[:1]), self.prior_cov)
-        proxies = _ProxySetup(prior, np.zeros((self.n, prior.dim)), self.post_covs)
+        proxies = _ProxySetup(prior, np.zeros((self.n, prior.dim)), self.post_covs, self.method)
         object.__setattr__(self, "proxies", proxies)
 
 
@@ -71,9 +70,7 @@ def spec_for_task(task: Task, method: str, s: Schedule) -> CompositeSpec:
     return CompositeSpec(method, task.n, post_covs, prior.cov, s)
 
 
-def _level_weights(
-    proxies: _ProxySetup, method: str, s: Schedule, t: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _level_weights(proxies: _ProxySetup, s: Schedule, t: float) -> tuple:
     """The rule's weights at level t: the composite score is s_0 W_0 + sum_i s_i W_i.
 
     Scores are row vectors. geffner has W_0 = (1-n) I and W_i = I. linhart,
@@ -85,7 +82,7 @@ def _level_weights(
     linear-algebra error, and nothing is regularized.
     """
     n, d = proxies.n, proxies.covs.shape[-1]
-    if method == "geffner":
+    if proxies.method == "geffner":
         eye = np.eye(d)
         return (1 - n) * eye, np.broadcast_to(eye, (n, d, d))
     a = schedule_alpha(s, t)
@@ -118,7 +115,7 @@ def _compose(
     d = theta.shape[-1]
     prior = np.asarray(prior_score(theta, t), dtype=float).reshape(-1, d)
     posts = np.array([np.asarray(f(theta, t), dtype=float).reshape(-1, d) for f in post_scores])
-    prior_weight, post_weights = _level_weights(spec.proxies, method, spec.sched, t)
+    prior_weight, post_weights = _level_weights(spec.proxies, spec.sched, t)
     out = prior @ prior_weight + np.matmul(posts, post_weights).sum(axis=0)
     return out.reshape(theta.shape)
 
@@ -177,9 +174,9 @@ def composite_field(task: Task, method: str, s: Schedule):
     if task.n < 1:
         raise ValueError("need at least one observation")
     base_post = _conjugate_update(task, task.observations[:, None])
-    proxies = _ProxySetup(*_proxies(task, base_post))  # the proxies of these very mixtures
+    proxies = _ProxySetup(*_proxies(task, base_post), method)  # the mixtures' own proxies
     if task.one_component:
-        rule = _bridge_rule(proxies, method)
+        rule = _bridge_rule(proxies)
 
         def bridge_factory(level_index: int, t: float) -> ScoreField:
             (prec,), (lin,) = rule(schedule_alpha(s, t))
@@ -189,7 +186,7 @@ def composite_field(task: Task, method: str, s: Schedule):
     base_prior = prior_dist(task)._params()
 
     def factory(level_index: int, t: float) -> ScoreField:
-        prior_weight, post_weights = _level_weights(proxies, method, s, t)
+        prior_weight, post_weights = _level_weights(proxies, s, t)
         stacks = [(base_post, post_weights), (base_prior, prior_weight[None])]
         kernel = _mixture_kernel(stacks, schedule_alpha(s, t))
         return lambda theta, t_arg: _kernel_score(kernel, np.ascontiguousarray(theta.T))[0].T

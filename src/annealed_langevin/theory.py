@@ -71,15 +71,14 @@ def bridging_moments(task: Task, method: str, t: float, s: Schedule) -> Gaussian
 
 
 class _ProxySetup:
-    """The n+1 moment-matched proxies of one task, prior first, set up once for both rules.
+    """The n+1 moment-matched proxies of one task, prior first, set up once per method.
 
-    The posterior covariances are checked SPD (the prior's is, as a GaussianDist), equal ones
-    grouped (a one-component task's n posterior proxies share one) and each distinct one
-    inverted once (precs), which gives the time-0 composition prior^(1-n) prod_i posterior_i:
-    precision P_c = (1-n) P_0 + sum_i P_i, precision-weighted mean (1-n) P_0 mu_0 + sum_i P_i mu_i.
-    """
+    Each posterior covariance is checked SPD (the prior's is, as a GaussianDist) and equal ones
+    are grouped. linhart also inverts each distinct one once (precs) for the time-0 composition
+    prior^(1-n) prod_i posterior_i: P_c = (1-n) P_0 + sum_i P_i and its precision-weighted mean."""
 
-    def __init__(self, prior: GaussianDist, post_means, post_covs) -> None:
+    def __init__(self, prior: GaussianDist, post_means, post_covs, method: str) -> None:
+        self.method = _check_method(method)
         post_covs = _as_spd(post_covs, "post_covs")
         n, d = len(post_covs), prior.dim
         if n < 1 or np.shape(post_means) != (n, d) or post_covs.shape != (n, d, d):
@@ -95,60 +94,52 @@ class _ProxySetup:
         self.weighted_means = np.zeros((len(keep), d))  # and its sum of w_i mu_i
         means = np.concatenate([prior.mean[None], post_means])
         np.add.at(self.weighted_means, self.group, weights[:, None] * means)
-        self.precs = _symmetric_inverse(self.covs)
-        self.composed_prec = np.tensordot(self.weights, self.precs, 1)
-        self.composed_lin = np.einsum("gij,gj->i", self.precs, self.weighted_means)
+        if method == "linhart":  # geffner's bridges and weights need no inverse
+            self.precs = _symmetric_inverse(self.covs)
+            self.composed_prec = np.tensordot(self.weights, self.precs, 1)
+            self.composed_lin = np.einsum("gij,gj->i", self.precs, self.weighted_means)
 
 
-class _DiffusedProduct:
-    """geffner's bridges: prior^(1-n) * prod_i posterior_i over the set-up's proxies, each diffused.
-
-    Diffusion to alpha maps N(mu, C) to N(sqrt(a) mu, a C + (1-a) I), which keeps the
-    eigenvectors of C = Q diag(lam) Q'. So each distinct covariance is eigendecomposed once, and
-    at any alpha the precision sum_g w_g Q_g diag(1/(a lam_g + 1 - a)) Q_g' (w_g: the group's
-    total weight) and precision-weighted mean are each one product over the stacked eigenbases.
-    """
-
-    def __init__(self, proxies: _ProxySetup) -> None:
-        d = proxies.covs.shape[-1]
-        self.eigvals, vecs = np.linalg.eigh(proxies.covs)
-        # flat over (distinct covariance, eigenvalue), like the columns of the basis
-        self.weights = np.repeat(proxies.weights, d)
-        self.rotated = np.einsum("ikj,ik->ij", vecs, proxies.weighted_means).ravel()  # Q' sum w mu
-        self.basis = vecs.transpose(1, 0, 2).reshape(d, -1)  # [Q_0 Q_1 ...]
-
-    def __call__(self, alphas) -> tuple[np.ndarray, np.ndarray]:
-        """Precisions (T, d, d) and precision-weighted means (T, d) at each of the alphas."""
-        a = np.atleast_1d(alphas)[:, None, None]
-        g = (1.0 / (a * self.eigvals + 1.0 - a)).reshape(len(a), -1)  # (T, distinct * d)
-        lins = np.sqrt(a[:, 0]) * ((g * self.rotated) @ self.basis.T)
-        # one (d, distinct * d) temporary at a time, not one per alpha
-        precs = np.array([(self.basis * w) @ self.basis.T for w in g * self.weights])
-        return 0.5 * (precs + np.swapaxes(precs, -1, -2)), lins
-
-
-def _bridge_rule(proxies: _ProxySetup, method: str):
+def _bridge_rule(proxies: _ProxySetup):
     """alphas -> the method's bridges' precisions (T, d, d) and precision-weighted means (T, d).
 
-    geffner multiplies the proxies, each diffused (_DiffusedProduct); linhart diffuses the
-    set-up's time-0 composition N(m, C), which must be definite, to (a C + (1-a) I)^-1 and
-    sqrt(a) (a C + (1-a) I)^-1 m, with no eigendecomposition."""
-    if _check_method(method) == "geffner":
-        return _DiffusedProduct(proxies)
-    cov = _spd_inverse(proxies.composed_prec, "composed precision")
-    mean, eye = cov @ proxies.composed_lin, np.eye(len(cov))
+    Diffusion to alpha maps N(mu, C) to N(sqrt(a) mu, a C + (1-a) I). linhart diffuses the
+    set-up's time-0 composition, which must be definite: one d x d inverse per alpha. geffner
+    multiplies the proxies, each diffused, which keeps the eigenvectors of each C = Q diag(lam) Q':
+    each distinct covariance is eigendecomposed once, and at any alpha the precision
+    sum_g w_g Q_g diag(1/(a lam_g + 1 - a)) Q_g' (w_g: the group's total weight) and the
+    precision-weighted mean are each one product over the stacked eigenbases.
+    """
+    if proxies.method == "linhart":
+        cov = _spd_inverse(proxies.composed_prec, "composed precision")
+        mean, eye = cov @ proxies.composed_lin, np.eye(len(cov))
 
-    def diffused(alphas) -> tuple[np.ndarray, np.ndarray]:
+        def diffused(alphas) -> tuple[np.ndarray, np.ndarray]:
+            a = np.atleast_1d(alphas)[:, None, None]
+            precs = _symmetric_inverse(a * cov + (1.0 - a) * eye)
+            return precs, np.sqrt(a[:, 0]) * (precs @ mean)
+
+        return diffused
+    d = proxies.covs.shape[-1]
+    eigvals, vecs = np.linalg.eigh(proxies.covs)
+    weights = np.repeat(proxies.weights, d)  # flat over (distinct covariance, eigenvalue)
+    rotated = np.einsum("ikj,ik->ij", vecs, proxies.weighted_means).ravel()  # Q' sum w mu
+    basis = vecs.transpose(1, 0, 2).reshape(d, -1)  # [Q_0 Q_1 ...], columns ordered like weights
+
+    def product(alphas) -> tuple[np.ndarray, np.ndarray]:
         a = np.atleast_1d(alphas)[:, None, None]
-        precs = _symmetric_inverse(a * cov + (1.0 - a) * eye)
-        return precs, np.sqrt(a[:, 0]) * (precs @ mean)
+        g = (1.0 / (a * eigvals + 1.0 - a)).reshape(len(a), -1)  # (T, distinct * d)
+        lins = np.sqrt(a[:, 0]) * ((g * rotated) @ basis.T)
+        # one (d, distinct * d) temporary at a time, not one per alpha
+        precs = np.array([(basis * w) @ basis.T for w in g * weights])
+        return 0.5 * (precs + np.swapaxes(precs, -1, -2)), lins
 
-    return diffused
+    return product
 
 
-def _bridges(proxies: _ProxySetup, method: str, times, s: Schedule) -> tuple[np.ndarray, list]:
+def _bridges(proxies: _ProxySetup, times, s: Schedule) -> tuple[np.ndarray, list]:
     """The bridges' precisions (T, d, d) and the bridges at each of the times (see proxy_bridge)."""
-    precs, lins = _bridge_rule(proxies, method)(schedule_alpha(s, times))
+    precs, lins = _bridge_rule(proxies)(schedule_alpha(s, times))
     covs = _spd_inverse(precs, "composed precision")
     return precs, [GaussianDist(mean=cov @ lin, cov=cov) for cov, lin in zip(covs, lins)]
 
@@ -165,7 +156,7 @@ def proxy_bridge(
 
     linhart diffuses the time-0 composition to each time; geffner composes the proxies diffused
     to each time, and a failed composition names the index of its time (_bridges)."""
-    return _bridges(_ProxySetup(prior_proxy, post_means, post_covs), method, times, s)[1]
+    return _bridges(_ProxySetup(prior_proxy, post_means, post_covs, method), times, s)[1]
 
 
 def gaussian_constants(

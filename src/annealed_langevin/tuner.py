@@ -201,7 +201,7 @@ def plan(task: Task, method: str, cfg: TuningConfig, s: Schedule) -> LevelPlan:
     times = levels(s, cfg.T)
     d = task.dim
     try:
-        precs, bridges = _bridges(_ProxySetup(*gaussian_proxies(task)), method, times, s)
+        precs, bridges = _bridges(_ProxySetup(*gaussian_proxies(task), method), times, s)
     except ValueError as exc:
         raise TuningError(f"bridging densities: {exc}") from exc
     eigs = np.linalg.eigvalsh(precs[:-1])

@@ -150,6 +150,8 @@ def test_main_rejects_bad_config(tmp_path, capsys, monkeypatch):
             ("sample", {"sampling": {"chains": "64"}}),
             ("sample", {"sampling": {"seed": "1"}}),
             ("sweep", {"sampling": {"seeds": [1, "2"]}}),
+            # an integer literal beyond the float range
+            ("tune", {"tuning": {"gamma": 10**400}}),
             # reports are always JSON, so "json" is no output format
             ("sample", {"output": {"formats": ["json"]}}),
         )

@@ -131,7 +131,7 @@ def test_lambda_is_spd_on_gaussian_tasks(sched, d, n, log10_lo, log10_cond, t, s
     lo = 10.0**log10_lo
     task = gaussian_task(rand_spd(rng, d, lo, lo * 10.0**log10_cond), rng.standard_normal((n, d)))
     spec = spec_for_task(task, "linhart", sched)
-    prior_weight, post_weight = composite._level_weights(spec.proxies, "linhart", sched, t)
+    prior_weight, post_weight = composite._level_weights(spec.proxies, sched, t)
     total = prior_weight + post_weight.reshape(n, d, d).sum(axis=0)
     np.testing.assert_allclose(total, np.eye(d), rtol=0, atol=1e-10)
 
@@ -150,12 +150,13 @@ def test_stacked_covariance_checks_reach_the_last_matrix(flaw, sched):
 @pytest.mark.parametrize("method", ["geffner", "linhart"])
 @pytest.mark.parametrize("kind", ["gaussian", "gmm_prior"])
 def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
-    # one conjugate update feeds one proxy set-up, which both branches read; it
-    # inverts each distinct covariance once (a gaussian task's n equal posterior
-    # covariances are one matrix). A gaussian field's bridge rule is built once,
-    # not per level: geffner eigendecomposes the distinct covariances once, and
-    # linhart inverts the time-0 composition once and eigendecomposes nothing.
-    # A mixture field does no eigendecomposition, and each level sets up one kernel
+    # one conjugate update feeds one proxy set-up, which both branches read; for
+    # linhart it inverts each distinct covariance once (a gaussian task's n equal
+    # posterior covariances are one matrix), for geffner, whose bridges and weights
+    # need no inverse, none. A gaussian field's bridge rule is built once, not per
+    # level: geffner eigendecomposes the distinct covariances once, and linhart
+    # inverts the time-0 composition once and eigendecomposes nothing. A mixture
+    # field does no eigendecomposition, and each level sets up one kernel
     rng = np.random.default_rng(5)
     make = gaussian_task if kind == "gaussian" else gmm_prior_task
     task = make(rand_spd(rng, 2, 0.2, 1.0), rng.standard_normal((6, 2)))
@@ -171,7 +172,7 @@ def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
 
     def setup(*args):
         proxies = theory._ProxySetup(*args)
-        inverted.append(len(proxies.precs))
+        inverted.append(len(getattr(proxies, "precs", ())))
         return proxies
 
     update = counted("update", tasks._conjugate_update)
@@ -190,7 +191,8 @@ def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
     else:
         expected = dict(eigh=0, bridge_inverse=0, kernel=10)
     assert calls == {"update": 1, **expected}
-    assert inverted == [2 if kind == "gaussian" else task.n + 1]
+    distinct = 2 if kind == "gaussian" else task.n + 1
+    assert inverted == [distinct if method == "linhart" else 0]
 
 
 def test_gaussian_consistency_linhart_equals_joint(sched):

@@ -160,16 +160,24 @@ def test_linhart_plan_composes_the_proxies_once(sched, monkeypatch):
     distinct = gmm_prior_task(np.eye(2) * 0.05, rng.standard_normal((30, 2)))
     for task, inverted in ((make_gaussian_task(seed=2, dim=10, n=30), 2), (distinct, 31)):
         calls, setups, eighs = [], [], []
-        rule = theory._bridge_rule
+        rule, eigh = theory._bridge_rule, np.linalg.eigh
 
-        def counted_rule(proxies, method):
+        def counted_rule(proxies):
             setups.append(len(proxies.precs))
-            product = rule(proxies, method)
-            return lambda alphas: calls.append(np.atleast_1d(alphas).size) or product(alphas)
+            product = rule(proxies)
+
+            def counted(alphas):
+                calls.append(np.atleast_1d(alphas).size)
+                return product(alphas)
+
+            return counted
+
+        def counted_eigh(*args):
+            eighs.append(args)
+            return eigh(*args)
 
         monkeypatch.setattr(theory, "_bridge_rule", counted_rule)
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a: eighs.append(a) or eigh(*a))
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         lp = plan(task, "linhart", TuningConfig(gamma=0.5, omega=0.5, T=10), sched)
         monkeypatch.undo()
         assert lp.T == 10 and calls == [11] and setups == [inverted] and eighs == []
