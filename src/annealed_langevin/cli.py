@@ -144,7 +144,7 @@ def resolve_config(
         spd, name = like["random_spd"], "task.likelihood.random_spd.eig_range"
         lo, hi = spd["eig_range"] = [_float(v, name) for v in spd["eig_range"]]
         if not 0 < lo <= hi:
-            raise ValueError("task.likelihood.random_spd.eig_range must satisfy 0 < low <= high")
+            raise ValueError(f"{name} must satisfy 0 < low <= high")
     if dim < 1:
         raise ValueError("task.dim must be positive")
     if cfg["method"] not in (*METHODS, "both"):
