@@ -13,7 +13,9 @@ import csv
 import dataclasses
 import functools
 import json
+import os
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import Callable
@@ -43,6 +45,8 @@ SCHEMA_VERSION = 1
 
 _PLAN_COLUMNS = ("t", "h", "k", "m", "M", "w2_next", "B")
 _FORMATS = ("csv", "npy")  # reports are always JSON
+# chains x dim from which a cell's two methods sample on two threads (README, CLI)
+_OVERLAP_MIN_BATCH = 8192
 
 
 def _default_config() -> dict:
@@ -110,6 +114,18 @@ def _float(value, name: str) -> float:
     return float(value)
 
 
+def _numbers(value, name: str) -> None:
+    """Refuse a string or a boolean anywhere in value; a null is left to the task's checks."""
+    if isinstance(value, dict):
+        for key, entry in value.items():
+            _numbers(entry, f"{name}.{key}")
+    elif isinstance(value, list):
+        for entry in value:
+            _numbers(entry, name)
+    elif isinstance(value, (bool, str)):
+        raise ValueError(f"{name} must hold numbers, got {value!r}")
+
+
 def resolve_config(
     user: dict,
     seed: int | None = None,
@@ -151,6 +167,8 @@ def resolve_config(
         raise ValueError(f"unknown method {cfg['method']!r}")
     if task["prior"]["means"] is None:
         task["prior"]["means"] = [[0.0] * dim, [1.0] * dim]
+    for section in ("likelihood", "prior", "likelihood_mixture"):  # the array-valued fields
+        _numbers(task[section], f"task.{section}")
     tune, sampling = cfg["tuning"], cfg["sampling"]
     if tune["omega"] is None:
         tune["omega"] = 0.8 if dim >= 10 else 0.5
@@ -291,12 +309,13 @@ def _run_cell(
     sched: Schedule,
     reference: Callable[[], SampleSet],
     stop_after_plan: bool,
+    wait: Callable[[], object] = lambda: None,
 ) -> dict:
     """One (n, seed, method) cell: plan, then sample and evaluate unless stop_after_plan.
 
     A failure is recorded in the returned record, its error prefixed by its
     class. Keys starting with an underscore (timings, plan, samples) are for
-    the report writers and never reach a report as they are.
+    the report writers and never reach a report as they are. Evaluation starts once wait() returns.
     """
     record: dict = {"n": task.n, "seed": seed, "method": method, "status": "ok", "error": ""}
     timing = record["_timings"] = {}
@@ -323,6 +342,7 @@ def _run_cell(
             level_plan, composite_field(task, method, sched), cfg["sampling"]["chains"], seed
         )
         timing["sample_s"] = time.perf_counter() - start
+        wait()
         start = time.perf_counter()
         try:
             exact = reference()
@@ -341,13 +361,41 @@ def _run_cell(
     return record
 
 
+def _run_pair(first: Callable[..., dict], second: Callable[..., dict]) -> list[dict]:
+    """Both records. second runs on a daemon thread and evaluates only once first has ended, so
+    cells complete in order, one thread builds the reference and one W2 matrix lives at a time."""
+    turn, out = threading.Event(), {}
+
+    def helper() -> None:
+        try:
+            out["record"] = second(turn.wait)
+        except BaseException as exc:  # raised again in the caller
+            out["error"] = exc
+
+    thread = threading.Thread(target=helper, daemon=True)
+    thread.start()
+    try:
+        record = first()
+    finally:  # an error here, or Ctrl-C, propagates at once: the daemon helper ends with us
+        turn.set()
+    thread.join()
+    if "error" in out:
+        raise out["error"]
+    return [record, out["record"]]
+
+
 def _run(cfg: dict, sched: Schedule, cells: list, tune_only: bool, keep_points: bool) -> list[dict]:
-    """Run every method of every cell in order, one after another, in this thread."""
+    """Run every cell in order; a sampling cell's two methods run on two threads (`_run_pair`)
+    when two CPUs are usable and chains x dim reaches `_OVERLAP_MIN_BATCH`."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    batch = cfg["sampling"]["chains"] * cfg["task"]["dim"]
+    overlap = not tune_only and batch >= _OVERLAP_MIN_BATCH and (cpus or 1) >= 2
     records = []
     for seed, task, tunings in cells:
         reference = _shared_reference(task, cfg["sampling"]["chains"], seed)
-        for method, tuning in tunings.items():
-            record = _run_cell(cfg, tuning, method, seed, task, sched, reference, tune_only)
+        runs = [functools.partial(_run_cell, cfg, tuning, method, seed, task, sched, reference,
+                                  tune_only) for method, tuning in tunings.items()]
+        for record in _run_pair(*runs) if overlap and len(runs) == 2 else [run() for run in runs]:
             if not keep_points:
                 record.pop("_samples", None)  # keep no points alive that no report writes
             records.append(record)
@@ -465,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument(
             "--method", choices=[*METHODS, "both"], default=None, help="override method"
         )
-        cmd.add_argument(  # cells are numpy-bound under the GIL: threads gave no speed-up
+        cmd.add_argument(  # the thread count follows from the batch and the CPUs (`_run`)
             "--workers", type=int, default=1, help="accepted for old commands; has no effect"
         )
     args = parser.parse_args(argv)

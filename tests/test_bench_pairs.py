@@ -44,6 +44,39 @@ def test_compare_skips_what_it_cannot_rank_or_divide():
     assert out["parent_quartiles"]["w/trace1/extra"] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        # 10 of 10 pairs won, by more than the parent's interquartile range (2)
+        ([9, 10, 11, 12, 10, 9, 11, 12, 10, 11], [6, 7, 8, 9, 7, 6, 8, 9, 7, 8], "gain"),
+        # 9 of 10 pairs won, but by less than the parent's interquartile range
+        ([9, 10, 11, 12, 10, 9, 11, 12, 10, 11], [8.5, 9.5, 10.5, 11.5, 9.5, 8.5, 10.5, 11.5,
+                                                 9.5, 11.5], "no worse"),
+        # the change's median is 30% worse, beyond the 25% bound
+        ([10] * 10, [13] * 10, "worse"),
+        # the parent's own quartiles lie 60% of its median apart
+        ([5, 8, 10, 12, 15, 6, 9, 11, 14, 10], [10] * 10, "unresolved"),
+        # 20% worse, inside the bound, and a steady parent
+        ([10] * 10, [12] * 10, "no worse"),
+    ],
+    ids=["gain", "gain-within-spread", "worse", "unresolved", "within-bound"],
+)
+def test_compare_gives_each_bounded_metric_a_verdict(parent, change, expected):
+    pairs = [_pair({"w/trace0/wall_s": p, "w/trace1/run.user_cpu_s": p},
+                   {"w/trace0/wall_s": c, "w/trace1/run.user_cpu_s": c})
+             for p, c in zip(parent, change)]
+    better = {"wall_s": "lower", "run.user_cpu_s": "lower"}
+    out = bench_pairs.compare(pairs, better, {"wall_s": 0.25})
+    # a per-layer metric has no bound, so it gets no verdict
+    assert out["verdict"] == {"w/trace0/wall_s": expected}
+    # a metric that is better higher reads its gain the other way round
+    flipped = [_pair({"w/trace0/chain_steps_per_s": -p}, {"w/trace0/chain_steps_per_s": -c})
+               for p, c in zip(parent, change)]
+    out = bench_pairs.compare(flipped, {"chain_steps_per_s": "higher"},
+                              {"chain_steps_per_s": 0.25})
+    assert out["verdict"] == {"w/trace0/chain_steps_per_s": expected}
+
+
 def test_main_writes_the_file_then_exits_1_naming_each_failed_run(tmp_path, monkeypatch, capsys):
     # a run that reads correct: false, or has failed cells, fails the script,
     # after every pair's summary is written

@@ -64,6 +64,10 @@ def test_resolve_config_rejects_unknown_keys_and_bad_values():
         resolve_config({"task": {"likelihood": {"random_spd": {"eig_range": [0, 1]}}}})
     with pytest.raises(ValueError, match="task.dim must be an integer, got 2.7"):
         resolve_config({"task": {"dim": 2.7}})
+    with pytest.raises(ValueError, match="task.prior.scales must hold numbers, got '0.5'"):
+        resolve_config({"task": {"kind": "gmm_prior", "prior": {"scales": ["0.5", 0.5]}}})
+    with pytest.raises(ValueError, match="task.prior.weights must hold numbers, got True"):
+        resolve_config({"task": {"kind": "gmm_prior", "prior": {"weights": [True, False]}}})
 
 
 def test_resolve_config_ignores_unused_eig_range():
@@ -150,6 +154,18 @@ def test_main_rejects_bad_config(tmp_path, capsys, monkeypatch):
             ("sample", {"sampling": {"chains": "64"}}),
             ("sample", {"sampling": {"seed": "1"}}),
             ("sweep", {"sampling": {"seeds": [1, "2"]}}),
+            # and in every array-valued task field, at any depth
+            ("tune", {"task": {"kind": "gmm_prior", "prior": {"scales": ["0.5", "0.5"]}}}),
+            ("tune", {"task": {"kind": "gmm_prior", "prior": {"weights": [True, False]}}}),
+            ("tune", {"task": {"kind": "gmm_prior", "prior": {"means": [["0", 0], [1, 1]]}}}),
+            ("tune", {"task": {"likelihood": {"cov": [["1", "0"], ["0", "1"]]}}}),
+            ("tune", {"task": {"likelihood": {"cov": [[True, 0], [0, 1]]}}}),
+            ("tune", {"task": {"kind": "gmm_likelihood",
+                               "likelihood_mixture": {"cov_scales": [1.5, "0.5"]}}}),
+            ("tune", {"task": {"kind": "gmm_likelihood",
+                               "likelihood_mixture": {"weights": [True, 1]}}}),
+            ("tune", {"task": {"kind": "gmm_likelihood",
+                               "likelihood_mixture": {"base_cov": [[1, 0], [0, "1"]]}}}),
             # an integer literal beyond the float range
             ("tune", {"tuning": {"gamma": 10**400}}),
             # reports are always JSON, so "json" is no output format
@@ -565,3 +581,164 @@ def test_reference_built_once_per_cell_pair(tmp_path, monkeypatch):
     path = _write_cfg(tmp_path / "sweep.json", sweep)
     assert main(["sweep", "--config", path, "--out", str(tmp_path / "sweep")]) == 0
     assert sorted(calls) == [(2, 0), (2, 1), (3, 0), (3, 1)]
+
+
+class _TwoCpus:
+    """Stands in for the os module in cli: two usable CPUs on any machine."""
+
+    @staticmethod
+    def sched_getaffinity(pid):
+        return {0, 1}
+
+
+def _force_path(monkeypatch, threaded: bool) -> list:
+    """Send every sampling cell down one path; returns the (thread, method, plan) of each plan."""
+    monkeypatch.setattr(cli, "os", _TwoCpus)
+    monkeypatch.setattr(cli, "_OVERLAP_MIN_BATCH", 0 if threaded else 10**12)
+    plans = []
+
+    def recording_plan(task, method, *args, **kwargs):
+        level_plan = plan(task, method, *args, **kwargs)
+        plans.append((threading.get_ident(), task.n, method, level_plan))
+        return level_plan
+
+    monkeypatch.setattr(cli, "plan", recording_plan)
+    return plans
+
+
+def _plan_bytes(plans: list) -> list:
+    return sorted((n, method, lp.h.tobytes(), lp.k.tobytes()) for _, n, method, lp in plans)
+
+
+@pytest.mark.parametrize("command", ["sample", "sweep"])
+def test_threaded_runner_gives_the_sequential_outputs(tmp_path, monkeypatch, command):
+    # the two methods of a cell share nothing but the task and the cached
+    # reference, so the helper thread changes no bit and no record's place
+    cfg = dict(BASE, output={"formats": ["npy"]})
+    if command == "sweep":
+        cfg = dict(cfg, task={"kind": "gaussian", "dim": 2, "n": [2, 3]},
+                   sampling={"chains": 100, "seeds": [0, 1]})
+    path = _write_cfg(tmp_path / "cfg.json", cfg)
+    outs, plans = {}, {}
+    for threaded in (False, True):
+        with monkeypatch.context() as patch:
+            plans[threaded] = _force_path(patch, threaded)
+            outs[threaded] = tmp_path / f"threaded_{threaded}"
+            assert main([command, "--config", path, "--out", str(outs[threaded])]) == 0
+    main_thread = threading.get_ident()
+    assert {ident for ident, *_ in plans[False]} == {main_thread}
+    assert {(ident == main_thread, method) for ident, _, method, _ in plans[True]} == {
+        (True, "geffner"), (False, "linhart")
+    }
+    assert _plan_bytes(plans[True]) == _plan_bytes(plans[False])
+    if command == "sweep":
+        for name in ("sweep_cells.csv", "sweep_summary.csv"):
+            assert (outs[True] / name).read_text() == (outs[False] / name).read_text()
+        return
+    reports = [json.loads((outs[t] / "sample.json").read_text())["results"] for t in (False, True)]
+    assert list(reports[0]["methods"]) == list(reports[1]["methods"]) == ["geffner", "linhart"]
+    for method in ("geffner", "linhart"):
+        blocks = [report["methods"][method] for report in reports]
+        assert blocks[1]["final_w2"] == blocks[0]["final_w2"]
+        name = f"samples_{method}.npy"
+        assert np.load(outs[True] / name).tobytes() == np.load(outs[False] / name).tobytes()
+
+
+def test_threaded_runner_evaluates_in_method_order_with_one_reference(tmp_path, monkeypatch):
+    # the helper samples while the first method samples, but builds no
+    # reference and starts no W2 until the first cell has ended
+    import time
+
+    from annealed_langevin import annealed_sample, empirical_w2, exact_posterior_sample
+
+    _force_path(monkeypatch, threaded=True)
+    main_thread, events = threading.get_ident(), []
+
+    def slow_first_sample(*args, **kwargs):
+        if threading.get_ident() == main_thread:
+            time.sleep(0.3)  # the helper would evaluate first if nothing held it
+        return annealed_sample(*args, **kwargs)
+
+    def counting_reference(task, count, seed):
+        events.append(("reference", task.n, seed))
+        return exact_posterior_sample(task, count, seed)
+
+    def recording_w2(a, b):
+        first = threading.get_ident() == main_thread
+        events.append(("w2 start", first))
+        out = empirical_w2(a, b)
+        events.append(("w2 end", first))
+        return out
+
+    monkeypatch.setattr(cli, "annealed_sample", slow_first_sample)
+    monkeypatch.setattr(cli, "exact_posterior_sample", counting_reference)
+    monkeypatch.setattr(cli, "empirical_w2", recording_w2)
+    sweep = {
+        "task": {"kind": "gaussian", "dim": 2, "n": [2, 3]},
+        "sampling": {"chains": 60, "seeds": [0, 1]},
+    }
+    path = _write_cfg(tmp_path / "sweep.json", sweep)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    cell = [("w2 start", True), ("w2 end", True), ("w2 start", False), ("w2 end", False)]
+    assert events == [
+        event for n in (2, 3) for seed in (0, 1) for event in [("reference", n, seed), *cell]
+    ]
+
+
+@pytest.mark.parametrize("failure", ["tuning", "divergence"])
+def test_threaded_runner_records_a_first_method_failure(tmp_path, monkeypatch, failure):
+    # a failed first cell is recorded as the sequential runner records it, and
+    # the helper's cell, which waits for it to end, still completes
+    _force_path(monkeypatch, threaded=True)
+    recording_plan, field = cli.plan, cli.composite_field
+
+    def failing_plan(task, method, *args, **kwargs):
+        if method == "geffner":
+            raise TuningError("level 0: no step size meets the bias budget")
+        return recording_plan(task, method, *args, **kwargs)
+
+    def diverging_field(task, method, sched):
+        if method != "geffner":
+            return field(task, method, sched)
+
+        def factory(level, t):
+            def diverge(theta, t_arg):
+                raise DivergenceError("chain left the box", t_arg, level)
+
+            return diverge
+
+        return factory
+
+    monkeypatch.setattr(cli, "plan", failing_plan)
+    if failure == "divergence":
+        monkeypatch.setattr(cli, "plan", recording_plan)
+        monkeypatch.setattr(cli, "composite_field", diverging_field)
+    path = _write_cfg(tmp_path / "cfg.json", BASE)
+    out = tmp_path / "run"
+    assert main(["sample", "--config", path, "--out", str(out)]) == 1
+    methods = json.loads((out / "sample.json").read_text())["results"]["methods"]
+    assert list(methods) == ["geffner", "linhart"]
+    assert methods["geffner"]["status"] == "error"
+    assert methods["geffner"]["error"].startswith(f"{failure}:")
+    assert methods["linhart"]["status"] == "ok" and methods["linhart"]["final_w2"] >= 0.0
+    assert (out / "samples_linhart.csv").exists() and not (out / "samples_geffner.csv").exists()
+
+
+def test_threaded_runner_raises_a_helper_error_in_main(tmp_path, monkeypatch):
+    # an error no record holds, raised on the helper thread, ends the command
+    # as it would in the calling thread: out of main, with nothing written
+    _force_path(monkeypatch, threaded=True)
+    recording_plan, main_thread = cli.plan, threading.get_ident()
+
+    def broken_plan(task, method, *args, **kwargs):
+        if threading.get_ident() != main_thread:
+            raise RuntimeError("helper broke")
+        return recording_plan(task, method, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "plan", broken_plan)
+    path = _write_cfg(tmp_path / "cfg.json", BASE)
+    out, threads = tmp_path / "run", threading.active_count()
+    with pytest.raises(RuntimeError, match="helper broke"):
+        main(["sample", "--config", path, "--out", str(out)])
+    assert not (out / "sample.json").exists()
+    assert threading.active_count() == threads  # the helper was joined

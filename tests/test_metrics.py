@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from annealed_langevin import metrics
 from annealed_langevin import (
     GaussianDist,
     SampleSet,
@@ -77,6 +80,27 @@ def test_potential_start_is_bitwise_at_the_benchmark_shape():
     a = 1.3 * rng.standard_normal((1024, 2))
     b = rng.standard_normal((1024, 2))
     assert empirical_w2(_pts(a, seed=1), _pts(b, seed=2)).value == _oracle_w2(a, b)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 17, 50])
+@pytest.mark.parametrize("count", [1, 64, 1000])
+def test_blockwise_matched_costs_are_the_full_matrix_entries(monkeypatch, count, d):
+    # the matched costs are read with cdist on 64 pairs at a time, with a
+    # ragged last block; the distance is bit for bit the full matrix's read
+    solved = []
+
+    def recording_solver(cost):
+        rows, cols = linear_sum_assignment(cost)
+        solved.append((rows, cols))
+        return rows, cols
+
+    monkeypatch.setattr(metrics, "linear_sum_assignment", recording_solver)
+    rng = np.random.default_rng(count * 100 + d)
+    a, b = rng.standard_normal((count, d)), 3.0 * rng.standard_normal((count, d)) + 1.0
+    got = empirical_w2(_pts(a, seed=1), _pts(b, seed=2)).value
+    (rows, cols), = solved
+    matched = np.sort(cdist(a, b, "sqeuclidean")[rows, cols])
+    assert got == math.sqrt(max(float(matched.sum()) / count, 0.0))
 
 
 def test_single_point_oracle():

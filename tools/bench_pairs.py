@@ -15,7 +15,8 @@ The output holds each run's summary (the last stdout line of run.py), the
 `# machine` line, and per metric: each side's median and quartiles (the
 default method of `statistics.quantiles`, as perfbench states its spread),
 how many pairs the change won (by the direction BENCHMARK.json gives the
-metric; ties count for neither), and the change/parent ratio of the medians.
+metric; ties count for neither), the change/parent ratio of the medians and,
+for each metric BENCHMARK.json gives a bound, a verdict (`verdict`).
 Only the standard library is used. The file is written even when a run's
 checks fail; the script then names each failing pair and side and exits 1.
 """
@@ -70,11 +71,33 @@ def quartiles(values: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
-def compare(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: medians, quartiles, pairs the change won, and change/parent median ratio."""
+def verdict(won: int, pairs: int, gain: float, parent_median: float, parent_iqr: float,
+            bound: float) -> str:
+    """One metric's verdict, gain being the change's median gain over the parent's (> 0 better).
+
+    `gain` when the change won at least 9/10 of the pairs and its median is
+    better by more than the parent's interquartile range; `worse` when its
+    median is worse by more than the bound (relative to the parent's median);
+    `unresolved` when the parent's interquartile range is wider than the
+    bound; `no worse` otherwise.
+    """
+    if won >= 0.9 * pairs and gain > parent_iqr:
+        return "gain"
+    if -gain > bound * abs(parent_median):
+        return "worse"
+    if parent_iqr > bound * abs(parent_median):
+        return "unresolved"
+    return "no worse"
+
+
+def compare(pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None
+            ) -> dict:
+    """Per metric: medians, quartiles, pairs the change won, change/parent median ratio and,
+    where bounds gives the metric a bound, its verdict."""
     names = [k for k in pairs[0]["parent"]["metrics"] if k in pairs[0]["change"]["metrics"]]
     out = {"median": {"parent": {}, "change": {}}, "parent_quartiles": {},
-           "change_quartiles": {}, "change_won": {}, "ratio_change_over_parent": {}}
+           "change_quartiles": {}, "change_won": {}, "ratio_change_over_parent": {},
+           "verdict": {}}
     for name in names:
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
         for side in SIDES:
@@ -86,6 +109,12 @@ def compare(pairs: list[dict], better: dict[str, str]) -> dict:
             sign = 1.0 if direction == "higher" else -1.0
             won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
             out["change_won"][name] = f"{won}/{len(pairs)}"
+            bound = (bounds or {}).get(name.split("/")[-1])
+            if bound is not None:
+                med, (q1, q3) = out["median"], out["parent_quartiles"][name]
+                gain = sign * (med["change"][name] - med["parent"][name])
+                out["verdict"][name] = verdict(won, len(pairs), gain, med["parent"][name],
+                                               q3 - q1, bound)
         base = out["median"]["parent"][name]
         if base:
             out["ratio_change_over_parent"][name] = out["median"]["change"][name] / base
@@ -109,6 +138,7 @@ def main() -> int:
             .decode().strip() for side in SIDES}
     spec = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     seconds = spec["run_seconds"]
 
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
@@ -138,7 +168,7 @@ def main() -> int:
                 "machines_agree": all(m == machines[0] for m in machines),
                 "seeds": [p["seed"] for p in pairs],
                 "all_correct": all(p[side]["correct"] for p in pairs for side in SIDES),
-                **compare(pairs, better),
+                **compare(pairs, better, bounds),
                 "pairs": pairs,
             }
             args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
