@@ -427,8 +427,9 @@ def test_sweep_grid_and_worker_independence(tmp_path):
 
 
 def test_sweep_runs_cells_in_order_in_one_thread(tmp_path, monkeypatch):
-    # --workers is accepted but has no effect: every cell is tuned from the
-    # calling thread, in (n, seed, method) order
+    # --workers is accepted but has no effect: 50 chains x d=2 is below the
+    # threaded runner's batch, so every cell is tuned from the calling thread,
+    # in (n, seed, method) order
     seeds_of, calls = {}, []
 
     def recording_build_task(cfg, n, seed):
