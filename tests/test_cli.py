@@ -593,7 +593,7 @@ class _TwoCpus:
 
 
 def _force_path(monkeypatch, threaded: bool) -> list:
-    """Send every sampling cell down one path; returns the (thread, method, plan) of each plan."""
+    """Send every sampling cell down one path; returns (thread, n, method, plan) for each plan."""
     monkeypatch.setattr(cli, "os", _TwoCpus)
     monkeypatch.setattr(cli, "_OVERLAP_MIN_BATCH", 0 if threaded else 10**12)
     plans = []
