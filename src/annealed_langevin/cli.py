@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import inspect
 import json
 import os
 import sys
@@ -22,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import metrics
 from .composite import compose_dsm_error, composite_field
 from .metrics import empirical_w2
 from .sampler import DivergenceError, SampleSet, annealed_sample
@@ -45,7 +47,7 @@ SCHEMA_VERSION = 1
 
 _PLAN_COLUMNS = ("t", "h", "k", "m", "M", "w2_next", "B")
 _FORMATS = ("csv", "npy")  # reports are always JSON
-# chains x dim from which a cell's two methods sample on two threads (README, CLI)
+# chains x dim from which two lanes sample at once (`_lanes`, README CLI)
 _OVERLAP_MIN_BATCH = 8192
 
 
@@ -295,11 +297,6 @@ def _write_report(path: Path, cfg: dict, results: dict, timings: dict) -> None:
         fh.write("\n")
 
 
-def _shared_reference(task: Task, count: int, seed: int) -> Callable[[], SampleSet]:
-    """The exact posterior sample of a cell, built on first use and reused by every method."""
-    return functools.cache(lambda: exact_posterior_sample(task, count, seed))
-
-
 def _run_cell(
     cfg: dict,
     tuning: TuningConfig,
@@ -361,44 +358,62 @@ def _run_cell(
     return record
 
 
-def _run_pair(first: Callable[..., dict], second: Callable[..., dict]) -> list[dict]:
-    """Both records. second runs on a daemon thread and evaluates only once first has ended, so
-    cells complete in order, one thread builds the reference and one W2 matrix lives at a time."""
-    turn, out = threading.Event(), {}
+def _lanes(cfg: dict, tune_only: bool) -> tuple[int, bool]:
+    """The lane count, and whether sampling is serial: a cell plans once the previous one sampled.
 
-    def helper() -> None:
-        try:
-            out["record"] = second(turn.wait)
-        except BaseException as exc:  # raised again in the caller
-            out["error"] = exc
-
-    thread = threading.Thread(target=helper, daemon=True)
-    thread.start()
-    try:
-        record = first()
-    finally:  # an error here, or Ctrl-C, propagates at once: the daemon helper ends with us
-        turn.set()
-    thread.join()
-    if "error" in out:
-        raise out["error"]
-    return [record, out["record"]]
+    Below `_OVERLAP_MIN_BATCH` two samplings fight over the interpreter lock, so a second lane
+    pays only by hiding a full-size W2 solve: chains at least `empirical_w2`'s cap (README, CLI)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    chains = cfg["sampling"]["chains"]
+    serial = chains * cfg["task"]["dim"] < _OVERLAP_MIN_BATCH
+    full_w2 = chains >= inspect.signature(metrics.empirical_w2).parameters["cap"].default
+    return 2 if not tune_only and (cpus or 1) >= 2 and (full_w2 or not serial) else 1, serial
 
 
 def _run(cfg: dict, sched: Schedule, cells: list, tune_only: bool, keep_points: bool) -> list[dict]:
-    """Run every cell in order; a sampling cell's two methods run on two threads (`_run_pair`)
-    when two CPUs are usable and chains x dim reaches `_OVERLAP_MIN_BATCH`."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    batch = cfg["sampling"]["chains"] * cfg["task"]["dim"]
-    overlap = not tune_only and batch >= _OVERLAP_MIN_BATCH and (cpus or 1) >= 2
-    records = []
-    for seed, task, tunings in cells:
-        reference = _shared_reference(task, cfg["sampling"]["chains"], seed)
-        runs = [functools.partial(_run_cell, cfg, tuning, method, seed, task, sched, reference,
-                                  tune_only) for method, tuning in tunings.items()]
-        for record in _run_pair(*runs) if overlap and len(runs) == 2 else [run() for run in runs]:
+    """Run the method-cells in (n, seed, method) order, alternately on the caller's thread and a
+    daemon helper when `_lanes` gives two. A cell plans, samples and evaluates on its own lane and
+    evaluates once the previous cell has ended, so cells complete in order, one lane builds each
+    reference and one W2 matrix lives at a time."""
+    lanes, serial = _lanes(cfg, tune_only)
+    chains, runs = cfg["sampling"]["chains"], []
+    for seed, task, tunings in cells:  # one exact sample per (n, seed), built on first use
+        reference = functools.cache(functools.partial(exact_posterior_sample, task, chains, seed))
+        runs += [functools.partial(_run_cell, cfg, tuning, method, seed, task, sched, reference,
+                                   tune_only) for method, tuning in tunings.items()]
+    sampled = [threading.Event() for _ in range(len(runs) + 1)]  # [i + 1]: cell i sampled or ended
+    ended, records, errors = [threading.Event() for _ in sampled], [None] * len(runs), []
+    sampled[0].set(), ended[0].set()
+
+    def lane(first: int) -> None:
+        for i in range(first, len(runs), lanes):
+            try:
+                if serial:
+                    sampled[i].wait()
+                if errors:
+                    return
+                records[i] = runs[i](lambda: (sampled[i + 1].set(), ended[i].wait()))
+            except BaseException as exc:
+                # recorded before this cell's events are set: the other lane, whose next cell
+                # waits on them, then starts no cell, so no lane waits on one that will not run
+                errors.append(exc)
+                if first == 0:  # an error here, or Ctrl-C, propagates at once
+                    raise
+                return  # the helper's is raised again in the caller
+            finally:
+                sampled[i + 1].set(), ended[i + 1].set()
+                runs[i] = None  # a cell pair's reference lives until its last cell ends
             if not keep_points:
-                record.pop("_samples", None)  # keep no points alive that no report writes
-            records.append(record)
+                records[i].pop("_samples", None)  # keep no points alive that no report writes
+
+    thread = threading.Thread(target=lane, args=(1,), daemon=True)
+    if lanes == 2:
+        thread.start()
+    lane(0)
+    if lanes == 2:
+        thread.join()
+    if errors:
+        raise errors[0]
     return records
 
 
@@ -451,33 +466,18 @@ def _write_sample(cfg: dict, out_dir: Path, records: list[dict], total_s: float)
 
 def _write_sweep(cfg: dict, out_dir: Path, records: list[dict], total_s: float) -> None:
     records = [_public(record) for record in records]
-    cell_columns = [
-        "n",
-        "seed",
-        "method",
-        "status",
-        "total_steps",
-        "final_w2",
-        "global_bound",
-        "proxy",
-        "error",
-    ]
+    cell_columns = ["n", "seed", "method", "status", "total_steps", "final_w2", "global_bound",
+                    "proxy", "error"]
     with open(out_dir / "sweep_cells.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cell_columns)
+        writer = csv.DictWriter(fh, fieldnames=cell_columns, restval="", extrasaction="ignore")
         writer.writeheader()
-        for record in records:
-            writer.writerow({key: record.get(key, "") for key in cell_columns})
+        writer.writerows(records)
 
     summary_rows = []
     for n, method in dict.fromkeys((r["n"], r["method"]) for r in records):
         cell = [r for r in records if r["n"] == n and r["method"] == method]
         ok = [r for r in cell if r["status"] == "ok"]
-        row = {
-            "n": n,
-            "method": method,
-            "cells": len(cell),
-            "failures": len(cell) - len(ok),
-        }
+        row = {"n": n, "method": method, "cells": len(cell), "failures": len(cell) - len(ok)}
         for field in ("total_steps", "final_w2"):
             values = np.array([r[field] for r in ok], dtype=float)
             row[f"{field}_mean"] = float(values.mean()) if values.size else ""

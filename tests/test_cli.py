@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
 import json
 import threading
+import time
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from annealed_langevin import DivergenceError, TuningError, cli, plan
+from annealed_langevin import DivergenceError, TuningError, cli, empirical_w2, plan
 from annealed_langevin.cli import build_task, main, resolve_config
 
 BASE = {
@@ -427,9 +431,9 @@ def test_sweep_grid_and_worker_independence(tmp_path):
 
 
 def test_sweep_runs_cells_in_order_in_one_thread(tmp_path, monkeypatch):
-    # --workers is accepted but has no effect: 50 chains x d=2 is below the
-    # threaded runner's batch, so every cell is tuned from the calling thread,
-    # in (n, seed, method) order
+    # --workers is accepted but has no effect: 50 chains x d=2 is below both
+    # two-lane gates (the parallel batch and the W2 cap), so every cell is tuned
+    # from the calling thread, in (n, seed, method) order
     seeds_of, calls = {}, []
 
     def recording_build_task(cfg, n, seed):
@@ -592,10 +596,15 @@ class _TwoCpus:
         return {0, 1}
 
 
-def _force_path(monkeypatch, threaded: bool) -> list:
-    """Send every sampling cell down one path; returns (thread, n, method, plan) for each plan."""
+def _force_path(monkeypatch, threaded: bool, serial: bool = False) -> list:
+    """Send every sampling cell down one path: one lane, or two lanes that sample at once or, when
+    serial, one after the other; returns (thread, n, method, plan) for each plan."""
     monkeypatch.setattr(cli, "os", _TwoCpus)
-    monkeypatch.setattr(cli, "_OVERLAP_MIN_BATCH", 0 if threaded else 10**12)
+    monkeypatch.setattr(cli, "_OVERLAP_MIN_BATCH", 0 if threaded and not serial else 10**12)
+    # the lane rule reads the W2 solve size from empirical_w2's signature; a cap of 1 makes
+    # every test batch a full-size solve, so a serial batch still takes two lanes
+    full_size = functools.partial(empirical_w2, cap=1 if threaded else 10**12)
+    monkeypatch.setattr(cli, "metrics", types.SimpleNamespace(empirical_w2=full_size))
     plans = []
 
     def recording_plan(task, method, *args, **kwargs):
@@ -612,7 +621,8 @@ def _plan_bytes(plans: list) -> list:
 
 
 @pytest.mark.parametrize("command", ["sample", "sweep"])
-def test_threaded_runner_gives_the_sequential_outputs(tmp_path, monkeypatch, command):
+def test_threaded_runner_gives_the_sequential_outputs(tmp_path, monkeypatch, command,
+                                                      serial=False):
     # the two methods of a cell share nothing but the task and the cached
     # reference, so the helper thread changes no bit and no record's place
     cfg = dict(BASE, output={"formats": ["npy"]})
@@ -623,7 +633,7 @@ def test_threaded_runner_gives_the_sequential_outputs(tmp_path, monkeypatch, com
     outs, plans = {}, {}
     for threaded in (False, True):
         with monkeypatch.context() as patch:
-            plans[threaded] = _force_path(patch, threaded)
+            plans[threaded] = _force_path(patch, threaded, serial)
             outs[threaded] = tmp_path / f"threaded_{threaded}"
             assert main([command, "--config", path, "--out", str(outs[threaded])]) == 0
     main_thread = threading.get_ident()
@@ -645,14 +655,16 @@ def test_threaded_runner_gives_the_sequential_outputs(tmp_path, monkeypatch, com
         assert np.load(outs[True] / name).tobytes() == np.load(outs[False] / name).tobytes()
 
 
-def test_threaded_runner_evaluates_in_method_order_with_one_reference(tmp_path, monkeypatch):
-    # the helper samples while the first method samples, but builds no
-    # reference and starts no W2 until the first cell has ended
+def test_threaded_runner_evaluates_in_method_order_with_one_reference(tmp_path, monkeypatch,
+                                                                      serial=False):
+    # the helper samples while the first method samples (or, when serial, once
+    # it has sampled), but builds no reference and starts no W2 until the
+    # first cell has ended
     import time
 
     from annealed_langevin import annealed_sample, empirical_w2, exact_posterior_sample
 
-    _force_path(monkeypatch, threaded=True)
+    _force_path(monkeypatch, threaded=True, serial=serial)
     main_thread, events = threading.get_ident(), []
 
     def slow_first_sample(*args, **kwargs):
@@ -683,6 +695,11 @@ def test_threaded_runner_evaluates_in_method_order_with_one_reference(tmp_path, 
     cell = [("w2 start", True), ("w2 end", True), ("w2 start", False), ("w2 end", False)]
     assert events == [
         event for n in (2, 3) for seed in (0, 1) for event in [("reference", n, seed), *cell]
+    ]
+    assert [(row["n"], row["seed"], row["method"]) for row in
+            _read_csv(tmp_path / "run" / "sweep_cells.csv")] == [
+        (str(n), str(seed), method) for n in (2, 3) for seed in (0, 1)
+        for method in ("geffner", "linhart")
     ]
 
 
@@ -743,3 +760,163 @@ def test_threaded_runner_raises_a_helper_error_in_main(tmp_path, monkeypatch):
         main(["sample", "--config", path, "--out", str(out)])
     assert not (out / "sample.json").exists()
     assert threading.active_count() == threads  # the helper was joined
+
+
+@pytest.mark.parametrize("command", ["sample", "sweep"])
+def test_serial_lanes_give_the_sequential_outputs(tmp_path, monkeypatch, command):
+    test_threaded_runner_gives_the_sequential_outputs(tmp_path, monkeypatch, command, serial=True)
+
+
+def test_serial_lanes_evaluate_in_method_order_with_one_reference(tmp_path, monkeypatch):
+    test_threaded_runner_evaluates_in_method_order_with_one_reference(tmp_path, monkeypatch,
+                                                                      serial=True)
+
+
+def test_serial_lanes_plan_after_the_previous_sampling_and_overlap_its_w2(tmp_path, monkeypatch):
+    # below the parallel batch a cell starts its plan only once the previous
+    # cell has sampled, so its span holds no wait; its plan and sampling then
+    # run while the previous cell's W2 does
+    from annealed_langevin import annealed_sample
+
+    _force_path(monkeypatch, threaded=True, serial=True)
+    recording_plan, spans = cli.plan, []
+
+    def timed(name, func, pause=0.0):
+        def hook(*args, **kwargs):
+            start = time.perf_counter()
+            out = func(*args, **kwargs)
+            time.sleep(pause)  # a W2 long enough for the next cell to plan and sample within
+            spans.append((name, threading.get_ident(), start, time.perf_counter()))
+            return out
+
+        return hook
+
+    monkeypatch.setattr(cli, "plan", timed("plan", recording_plan))
+    monkeypatch.setattr(cli, "annealed_sample", timed("sample", annealed_sample))
+    monkeypatch.setattr(cli, "empirical_w2", timed("w2", cli.empirical_w2, pause=0.3))
+    sweep = {
+        "task": {"kind": "gaussian", "dim": 2, "n": [2, 3]},
+        "sampling": {"chains": 60, "seeds": [0]},
+    }
+    path = _write_cfg(tmp_path / "sweep.json", sweep)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    lanes: dict = {}
+    for name, ident, start, end in spans:
+        lanes.setdefault(ident, []).append((name, start, end))
+    caller, helper = lanes.pop(threading.get_ident()), *lanes.values()
+    assert len(caller) == len(helper) == 6  # cells 0 and 2 on the caller, 1 and 3 on the helper
+    cells = [{name: span for name, *span in lane[j:j + 3]}
+             for j in (0, 3) for lane in (caller, helper)]
+    assert [list(cell) for cell in cells] == [["plan", "sample", "w2"]] * 4
+    for before, cell in zip(cells, cells[1:]):
+        assert cell["plan"][0] >= before["sample"][1]  # planned once the previous cell sampled
+        assert cell["sample"][1] <= before["w2"][1]  # sampled during the previous cell's W2
+        assert cell["w2"][0] >= before["w2"][1]  # one W2 at a time, in cell order
+
+
+class _OneCpu:
+    @staticmethod
+    def sched_getaffinity(pid):
+        return {0}
+
+
+class _CountOnly:
+    """An os without sched_getaffinity, as on macOS and Windows."""
+
+    cpu_count = staticmethod(lambda: 2)
+
+
+@pytest.mark.parametrize(
+    "os_module, command, chains, dim, lanes",
+    [
+        (_TwoCpus, "tune", 3000, 10, 1),
+        (_OneCpu, "sample", 3000, 10, 1),
+        (_TwoCpus, "sample", "cap - 1", 2, 1),  # chains below the gate: a short W2
+        (_TwoCpus, "sample", "cap", 2, 2),  # serial sampling
+        (_CountOnly, "sweep", "cap", 2, 2),
+        (_TwoCpus, "sample", 3000, 10, 2),  # parallel sampling
+        (_TwoCpus, "sample", 900, 10, 2),  # parallel sampling needs no full-size W2
+    ],
+    ids=["tune", "one CPU", "short W2", "serial", "serial, cpu_count", "parallel",
+         "parallel, short W2"],
+)
+def test_lane_choice(monkeypatch, os_module, command, chains, dim, lanes):
+    # two lanes need two CPUs, a command that samples, and either a batch of
+    # _OVERLAP_MIN_BATCH (parallel sampling) or a full-size W2 to hide
+    cap = inspect.signature(empirical_w2).parameters["cap"].default
+    chains = {"cap - 1": cap - 1, "cap": cap}.get(chains, chains)
+    monkeypatch.setattr(cli, "os", os_module)
+    cfg = resolve_config({"task": {"dim": dim}, "sampling": {"chains": chains}})
+    serial = chains * dim < cli._OVERLAP_MIN_BATCH
+    assert cli._lanes(cfg, tune_only=command == "tune") == (lanes, serial)
+
+
+@pytest.mark.parametrize("failure", ["tuning", "divergence"])
+@pytest.mark.parametrize("failing", ["geffner", "linhart"], ids=["caller lane", "helper lane"])
+def test_serial_lanes_record_a_failure_in_either_lane(tmp_path, monkeypatch, failure, failing):
+    # a cell that fails before or during sampling still lets the next cell
+    # plan, and the records keep their places
+    _force_path(monkeypatch, threaded=True, serial=True)
+    recording_plan, field = cli.plan, cli.composite_field
+
+    def failing_plan(task, method, *args, **kwargs):
+        if method == failing and task.n == 2:
+            raise TuningError("level 0: no step size meets the bias budget")
+        return recording_plan(task, method, *args, **kwargs)
+
+    def diverging_field(task, method, sched):
+        if method != failing or task.n != 2:
+            return field(task, method, sched)
+        return lambda level, t: functools.partial(_diverge, level=level)
+
+    if failure == "tuning":
+        monkeypatch.setattr(cli, "plan", failing_plan)
+    else:
+        monkeypatch.setattr(cli, "composite_field", diverging_field)
+    sweep = {"task": {"kind": "gaussian", "dim": 2, "n": [2, 3]}, "sampling": {"chains": 60}}
+    path = _write_cfg(tmp_path / "sweep.json", sweep)
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 1
+    rows = _read_csv(out / "sweep_cells.csv")
+    assert [(row["n"], row["method"]) for row in rows] == [
+        (n, method) for n in ("2", "3") for method in ("geffner", "linhart")
+    ]
+    for row in rows:
+        if (row["n"], row["method"]) == ("2", failing):
+            assert row["status"] == "error" and row["error"].startswith(f"{failure}:")
+        else:
+            assert row["status"] == "ok" and float(row["final_w2"]) >= 0.0
+
+
+def _diverge(theta, t_arg, level):
+    raise DivergenceError("chain left the box", t_arg, level)
+
+
+@pytest.mark.parametrize("serial", [False, True], ids=["parallel", "serial"])
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_an_unrecorded_error_in_either_lane_leaves_no_lane_waiting(tmp_path, monkeypatch, failing,
+                                                                   serial):
+    # the error leaves main; the other lane ends its cell and starts no other
+    plans = _force_path(monkeypatch, threaded=True, serial=serial)
+    recording_plan, main_thread, helpers = cli.plan, threading.get_ident(), set()
+
+    def broken_plan(task, method, *args, **kwargs):
+        caller = threading.get_ident() == main_thread
+        if not caller:
+            helpers.add(threading.current_thread())
+        if task.n == 3 and caller == (failing == "caller"):
+            raise RuntimeError(f"{failing} broke")
+        return recording_plan(task, method, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "plan", broken_plan)
+    sweep = {"task": {"kind": "gaussian", "dim": 2, "n": [2, 3, 4]}, "sampling": {"chains": 60}}
+    path = _write_cfg(tmp_path / "sweep.json", sweep)
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match=f"{failing} broke"):
+        main(["sweep", "--config", path, "--out", str(out)])
+    assert not (out / "sweep.json").exists()
+    (helper,) = helpers
+    helper.join(timeout=30)
+    assert not helper.is_alive()
+    if serial or failing == "caller":  # else the caller may start n=4 before the helper fails
+        assert {n for _, n, _, _ in plans} <= {2, 3}
