@@ -335,9 +335,8 @@ def _run_cell(
         if stop_after_plan:
             return record
         start = time.perf_counter()
-        samples = annealed_sample(
-            level_plan, composite_field(task, method, sched), cfg["sampling"]["chains"], seed
-        )
+        field = composite_field(task, method, sched, level_plan.setup)
+        samples = annealed_sample(level_plan, field, cfg["sampling"]["chains"], seed)
         timing["sample_s"] = time.perf_counter() - start
         wait()
         start = time.perf_counter()

@@ -27,14 +27,12 @@ from .tasks import (
     GaussianDist,
     ScoreField,
     Task,
-    _conjugate_update,
     _kernel_score,
     _mixture_kernel,
-    _proxies,
     gaussian_proxies,
     prior_dist,
 )
-from .theory import _bridge_rule, _check_method, _ProxySetup
+from .theory import _check_method, _ProxySetup
 
 __all__ = [
     "CompositeSpec",
@@ -161,33 +159,31 @@ def compose_dsm_error(eps_prior: float, eps_post: float, n: int, method: str) ->
 # Fast per-level fields for the sampler
 
 
-def composite_field(task: Task, method: str, s: Schedule):
+def composite_field(task: Task, method: str, s: Schedule, setup: _ProxySetup | None = None):
     """Level-score factory for annealed sampling: (level_index, t) -> ScoreField.
 
-    Both branches read one proxy set-up (theory._ProxySetup). On a one-component task
-    each level's field is the score lin_t - theta P_t of the method's bridge, read from
-    the bridge rule (theory._bridge_rule, built once): one matrix product per step. On
-    a mixture each level's field is one mixture kernel (tasks._mixture_kernel), set up
-    per level from the posteriors weighted by the W_i and the prior by W_0 (_level_weights).
+    Both branches read one proxy set-up: the plan's (LevelPlan.setup), else the task's own
+    (theory._ProxySetup.of_task). On a one-component task each level's field is the score
+    lin_t - theta P_t of the method's bridge, from the set-up's bridge rule at the level's
+    alpha: one matrix product per step. On a mixture each level's field is one mixture kernel
+    (tasks._mixture_kernel), set up per level from the posteriors weighted by the W_i and the
+    prior by W_0 (_level_weights).
     """
-    _check_method(method)
     if task.n < 1:
         raise ValueError("need at least one observation")
-    base_post = _conjugate_update(task, task.observations[:, None])
-    proxies = _ProxySetup(*_proxies(task, base_post), method)  # the mixtures' own proxies
+    if setup is None:
+        setup = _ProxySetup.of_task(task, method)
     if task.one_component:
-        rule = _bridge_rule(proxies)
-
         def bridge_factory(level_index: int, t: float) -> ScoreField:
-            (prec,), (lin,) = rule(schedule_alpha(s, t))
+            (prec,), (lin,) = setup.rule(schedule_alpha(s, t))
             return lambda theta, t_arg: lin - theta @ prec
 
         return bridge_factory
     base_prior = prior_dist(task)._params()
 
     def factory(level_index: int, t: float) -> ScoreField:
-        prior_weight, post_weights = _level_weights(proxies, s, t)
-        stacks = [(base_post, post_weights), (base_prior, prior_weight[None])]
+        prior_weight, post_weights = _level_weights(setup, s, t)
+        stacks = [(setup.update, post_weights), (base_prior, prior_weight[None])]
         kernel = _mixture_kernel(stacks, schedule_alpha(s, t))
         return lambda theta, t_arg: _kernel_score(kernel, np.ascontiguousarray(theta.T))[0].T
 

@@ -9,6 +9,7 @@ geffner-minus-linhart gap, and the analytic 2-Wasserstein distance between Gauss
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,8 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .schedule import Schedule, alpha as schedule_alpha, v as schedule_v
-from .tasks import GaussianDist, Task, _as_spd, _spd_inverse, _symmetric_inverse, gaussian_proxies
+from .tasks import GaussianDist, Task, _as_spd, _conjugate_update, _proxies, _spd_inverse
+from .tasks import _symmetric_inverse, gaussian_proxies
 
 __all__ = [
     "METHODS",
@@ -77,8 +79,8 @@ class _ProxySetup:
     are grouped. linhart also inverts each distinct one once (precs) for the time-0 composition
     prior^(1-n) prod_i posterior_i: P_c = (1-n) P_0 + sum_i P_i and its precision-weighted mean."""
 
-    def __init__(self, prior: GaussianDist, post_means, post_covs, method: str) -> None:
-        self.method = _check_method(method)
+    def __init__(self, prior: GaussianDist, post_means, post_covs, method: str, update=None):
+        self.method, self.update = _check_method(method), update
         post_covs = _as_spd(post_covs, "post_covs")
         n, d = len(post_covs), prior.dim
         if n < 1 or np.shape(post_means) != (n, d) or post_covs.shape != (n, d, d):
@@ -98,6 +100,17 @@ class _ProxySetup:
             self.precs = _symmetric_inverse(self.covs)
             self.composed_prec = np.tensordot(self.weights, self.precs, 1)
             self.composed_lin = np.einsum("gij,gj->i", self.precs, self.weighted_means)
+
+    @classmethod
+    def of_task(cls, task: Task, method: str) -> _ProxySetup:
+        """The task's set-up, keeping the posteriors' _conjugate_update output as update."""
+        update = _conjugate_update(task, task.observations[:, None])
+        return cls(*_proxies(task, update), method, update)
+
+    @functools.cached_property
+    def rule(self):
+        """_bridge_rule, built on first use (not by CompositeSpec: linhart's may be indefinite)."""
+        return _bridge_rule(self)
 
 
 def _bridge_rule(proxies: _ProxySetup):
@@ -139,7 +152,7 @@ def _bridge_rule(proxies: _ProxySetup):
 
 def _bridges(proxies: _ProxySetup, times, s: Schedule) -> tuple[np.ndarray, list]:
     """The bridges' precisions (T, d, d) and the bridges at each of the times (see proxy_bridge)."""
-    precs, lins = _bridge_rule(proxies)(schedule_alpha(s, times))
+    precs, lins = proxies.rule(schedule_alpha(s, times))
     covs = _spd_inverse(precs, "composed precision")
     return precs, [GaussianDist(mean=cov @ lin, cov=cov) for cov, lin in zip(covs, lins)]
 

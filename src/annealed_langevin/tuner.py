@@ -10,12 +10,12 @@ through moment-matched Gaussian proxies, which are exact on a one-component task
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .schedule import Schedule, levels
-from .tasks import Task, gaussian_proxies
+from .tasks import Task
 from .theory import bridging_moments, proxy_bridge  # noqa: F401  (perfbench/worker.py needs them)
 from .theory import _bridges, _check_method, _ProxySetup, gaussian_w2
 
@@ -69,7 +69,8 @@ class LevelPlan:
     """Per-level sampling schedule: arrays indexed by level p = 0..T-1 (ascending t).
 
     proxy marks plans whose constants and distances come from Gaussian
-    moment proxies rather than exact bridging densities.
+    moment proxies rather than exact bridging densities. setup, which composite_field
+    reads and no report writes, is the plan's proxy set-up (theory._ProxySetup.of_task).
     """
 
     method: str
@@ -84,6 +85,7 @@ class LevelPlan:
     w2_next: np.ndarray
     B: np.ndarray
     proxy: bool = False
+    setup: _ProxySetup | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_method(self.method)
@@ -201,7 +203,8 @@ def plan(task: Task, method: str, cfg: TuningConfig, s: Schedule) -> LevelPlan:
     times = levels(s, cfg.T)
     d = task.dim
     try:
-        precs, bridges = _bridges(_ProxySetup(*gaussian_proxies(task), method), times, s)
+        setup = _ProxySetup.of_task(task, method)
+        precs, bridges = _bridges(setup, times, s)
     except ValueError as exc:
         raise TuningError(f"bridging densities: {exc}") from exc
     eigs = np.linalg.eigvalsh(precs[:-1])
@@ -218,17 +221,6 @@ def plan(task: Task, method: str, cfg: TuningConfig, s: Schedule) -> LevelPlan:
         except TuningError as exc:
             raise TuningError(f"level {p} (t={times[p]:g}): {exc}") from exc
         bias[p] = bias_term(m[p], M[p], h[p], d, cfg.eps_dsm)
-    return LevelPlan(
-        method=method,
-        dim=d,
-        gamma=cfg.gamma,
-        omega=cfg.omega,
-        t=np.asarray(times[:-1], dtype=float),
-        h=h,
-        k=k,
-        m=m,
-        M=M,
-        w2_next=w2_next,
-        B=bias,
-        proxy=not task.one_component,
-    )
+    t = np.asarray(times[:-1], dtype=float)
+    return LevelPlan(method=method, dim=d, gamma=cfg.gamma, omega=cfg.omega, t=t, h=h, k=k, m=m,
+                     M=M, w2_next=w2_next, B=bias, proxy=not task.one_component, setup=setup)

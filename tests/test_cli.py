@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annealed_langevin import DivergenceError, TuningError, cli, empirical_w2, plan
+from annealed_langevin import DivergenceError, TuningError, cli, empirical_w2, plan, tasks, theory
 from annealed_langevin.cli import build_task, main, resolve_config
 
 BASE = {
@@ -397,6 +397,34 @@ def test_sample_indefinite_composition_is_a_tuning_failure(tmp_path, sched):
             plan(task, method, cli._tuning_config(resolved, 42, method), sched)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "gmm_prior"])
+def test_sample_sets_up_each_method_cell_once(tmp_path, monkeypatch, kind):
+    # plan builds a cell's proxy set-up from one per-observation conjugate update
+    # and builds its bridge rule; the sampler's field reads both from the plan
+    calls = {"update": 0, "setup": 0, "rule": 0}
+    update, init, rule = tasks._conjugate_update, theory._ProxySetup.__init__, theory._bridge_rule
+
+    def counted_update(task, x):
+        calls["update"] += x.shape[1] == 1  # the reference's joint update conditions on all n
+        return update(task, x)
+
+    def counted_init(*args):
+        calls["setup"] += 1
+        init(*args)
+
+    def counted_rule(proxies):
+        calls["rule"] += 1
+        return rule(proxies)
+
+    for module in (tasks, theory):
+        monkeypatch.setattr(module, "_conjugate_update", counted_update)
+    monkeypatch.setattr(theory._ProxySetup, "__init__", counted_init)
+    monkeypatch.setattr(theory, "_bridge_rule", counted_rule)
+    path = _write_cfg(tmp_path / "cfg.json", dict(BASE, task={"kind": kind, "dim": 2, "n": 3}))
+    assert main(["sample", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    assert calls == {"update": 2, "setup": 2, "rule": 2}
+
+
 def test_sample_rejects_n_list(tmp_path, capsys):
     cfg = {"task": {"kind": "gaussian", "dim": 2, "n": [2, 3]}}
     path = _write_cfg(tmp_path / "cfg.json", cfg)
@@ -715,9 +743,9 @@ def test_threaded_runner_records_a_first_method_failure(tmp_path, monkeypatch, f
             raise TuningError("level 0: no step size meets the bias budget")
         return recording_plan(task, method, *args, **kwargs)
 
-    def diverging_field(task, method, sched):
+    def diverging_field(task, method, sched, setup=None):
         if method != "geffner":
-            return field(task, method, sched)
+            return field(task, method, sched, setup)
 
         def factory(level, t):
             def diverge(theta, t_arg):
@@ -864,9 +892,9 @@ def test_serial_lanes_record_a_failure_in_either_lane(tmp_path, monkeypatch, fai
             raise TuningError("level 0: no step size meets the bias budget")
         return recording_plan(task, method, *args, **kwargs)
 
-    def diverging_field(task, method, sched):
+    def diverging_field(task, method, sched, setup=None):
         if method != failing or task.n != 2:
-            return field(task, method, sched)
+            return field(task, method, sched, setup)
         return lambda level, t: functools.partial(_diverge, level=level)
 
     if failure == "tuning":

@@ -11,6 +11,7 @@ from annealed_langevin import (
     CompositeSpec,
     GaussianMixture,
     Schedule,
+    TuningConfig,
     alpha,
     compose_dsm_error,
     composite_field,
@@ -21,12 +22,14 @@ from annealed_langevin import (
     individual_posterior_score,
     levels,
     linhart_score,
+    plan,
     posterior_moments,
     prior_score,
     simulate_observations,
     spec_for_task,
 )
 from annealed_langevin import composite, tasks, theory
+from annealed_langevin.cli import build_task, resolve_config
 from annealed_langevin.tasks import GaussianDist
 from conftest import rand_spd
 
@@ -170,15 +173,16 @@ def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
 
         return wrapper
 
-    def setup(*args):
-        proxies = theory._ProxySetup(*args)
+    init = theory._ProxySetup.__init__
+
+    def setup(proxies, *args):
+        init(proxies, *args)
         inverted.append(len(getattr(proxies, "precs", ())))
-        return proxies
 
     update = counted("update", tasks._conjugate_update)
     monkeypatch.setattr(tasks, "_conjugate_update", update)
-    monkeypatch.setattr(composite, "_conjugate_update", update)
-    monkeypatch.setattr(composite, "_ProxySetup", setup)
+    monkeypatch.setattr(theory, "_conjugate_update", update)
+    monkeypatch.setattr(theory._ProxySetup, "__init__", setup)
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(theory, "_spd_inverse", counted("bridge_inverse", theory._spd_inverse))
     monkeypatch.setattr(composite, "_mixture_kernel", counted("kernel", composite._mixture_kernel))
@@ -193,6 +197,20 @@ def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
     assert calls == {"update": 1, **expected}
     distinct = 2 if kind == "gaussian" else task.n + 1
     assert inverted == [distinct if method == "linhart" else 0]
+
+
+@pytest.mark.parametrize("method", ["geffner", "linhart"])
+@pytest.mark.parametrize("kind", ["gaussian", "gmm_prior", "gmm_likelihood"])
+def test_field_on_the_plan_setup_equals_the_field_that_sets_itself_up(kind, method, sched):
+    # the sampler's field reads the plan's set-up; the three-argument call builds
+    # its own, and every level's scores agree to the bit
+    task = build_task(resolve_config({"task": {"kind": kind, "dim": 2, "n": 5}}), 5, 3)
+    lp = plan(task, method, TuningConfig(gamma=0.5, omega=0.5, T=10), sched)
+    planned = composite_field(task, method, sched, lp.setup)
+    alone = composite_field(task, method, sched)
+    theta = np.random.default_rng(6).standard_normal((16, 2))
+    for p, t in enumerate(lp.t.tolist()):
+        assert planned(p, t)(theta, t).tobytes() == alone(p, t)(theta, t).tobytes()
 
 
 def test_gaussian_consistency_linhart_equals_joint(sched):
