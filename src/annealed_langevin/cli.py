@@ -335,7 +335,7 @@ def _run_cell(
         if stop_after_plan:
             return record
         start = time.perf_counter()
-        field = composite_field(task, method, sched, level_plan.setup)
+        field = composite_field(task, method, sched, level_plan.setup, level_plan.t)
         samples = annealed_sample(level_plan, field, cfg["sampling"]["chains"], seed)
         timing["sample_s"] = time.perf_counter() - start
         wait()

@@ -68,32 +68,37 @@ def spec_for_task(task: Task, method: str, s: Schedule) -> CompositeSpec:
     return CompositeSpec(method, task.n, post_covs, prior.cov, s)
 
 
-def _level_weights(proxies: _ProxySetup, s: Schedule, t: float) -> tuple:
-    """The rule's weights at level t: the composite score is s_0 W_0 + sum_i s_i W_i.
+def _level_weights(proxies: _ProxySetup, s: Schedule, times) -> tuple:
+    """The rule's weights at each level time: the composite score is s_0 W_0 + sum_i s_i W_i.
 
     Scores are row vectors. geffner has W_0 = (1-n) I and W_i = I. linhart,
     with the backward-kernel precisions P_{t,i} = P_i + (alpha_t/v_t) I and
     Lambda_t = P_c + (alpha_t/v_t) I, has W_0 = (1-n) P_{t,0} Lambda_t^{-1} and
     W_i = P_{t,i} Lambda_t^{-1} (P, Lambda symmetric: Lambda^-1 P s' = (s P Lambda^-1)'),
-    one product per distinct covariance. Returns W_0 (d, d) and the W_i (n, d, d).
-    The Cholesky factor of Lambda_t is the check: an indefinite Lambda_t is a
-    linear-algebra error, and nothing is regularized.
+    one product per distinct covariance and time. Returns W_0 (L, d, d) and the W_i
+    (L, n, d, d) for the L times. The Cholesky factor of each Lambda_t (one per time: scipy
+    has no batched one) is the check: an indefinite Lambda_t is a linear-algebra error, and
+    nothing is regularized.
     """
     n, d = proxies.n, proxies.covs.shape[-1]
+    L = len(times)
     if proxies.method == "geffner":
         eye = np.eye(d)
-        return (1 - n) * eye, np.broadcast_to(eye, (n, d, d))
-    a = schedule_alpha(s, t)
+        return np.broadcast_to((1 - n) * eye, (L, d, d)), np.broadcast_to(eye, (L, n, d, d))
+    a = schedule_alpha(s, np.asarray(times, dtype=float))
     noise = 1.0 - a
-    if noise <= 0:
+    if np.any(noise <= 0):
         raise ValueError("backward-kernel weights need t > 0")
-    shrink = (a / noise) * np.eye(d)
-    try:
-        lam_factor = cho_factor(proxies.composed_prec + shrink, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"lambda matrix is not positive definite at t={t:g}") from exc
-    weights = ((proxies.precs + shrink) @ cho_solve(lam_factor, np.eye(d)))[proxies.group]
-    return (1 - n) * weights[0], weights[1:]  # prior first
+    shrink = (a / noise)[:, None, None] * np.eye(d)
+    inverses = np.empty((L, d, d))
+    for t, lam, inverse in zip(times, proxies.composed_prec + shrink, inverses):
+        try:
+            inverse[...] = cho_solve(cho_factor(lam, lower=True), np.eye(d))
+        except np.linalg.LinAlgError as exc:
+            message = f"lambda matrix is not positive definite at t={t:g}"
+            raise np.linalg.LinAlgError(message) from exc
+    weights = ((proxies.precs + shrink[:, None]) @ inverses[:, None])[:, proxies.group]
+    return (1 - n) * weights[:, 0], weights[:, 1:]  # prior first
 
 
 def _compose(
@@ -113,7 +118,7 @@ def _compose(
     d = theta.shape[-1]
     prior = np.asarray(prior_score(theta, t), dtype=float).reshape(-1, d)
     posts = np.array([np.asarray(f(theta, t), dtype=float).reshape(-1, d) for f in post_scores])
-    prior_weight, post_weights = _level_weights(spec.proxies, spec.sched, t)
+    [prior_weight], [post_weights] = _level_weights(spec.proxies, spec.sched, [t])
     out = prior @ prior_weight + np.matmul(posts, post_weights).sum(axis=0)
     return out.reshape(theta.shape)
 
@@ -159,18 +164,25 @@ def compose_dsm_error(eps_prior: float, eps_post: float, n: int, method: str) ->
 # Fast per-level fields for the sampler
 
 
-def composite_field(task: Task, method: str, s: Schedule, setup: _ProxySetup | None = None):
+def composite_field(
+    task: Task,
+    method: str,
+    s: Schedule,
+    setup: _ProxySetup | None = None,
+    times: np.ndarray | None = None,
+):
     """Level-score factory for annealed sampling: (level_index, t) -> ScoreField.
 
     Both branches read one proxy set-up: the plan's (LevelPlan.setup), else the task's own
     (theory._ProxySetup.of_task). On a one-component task each level's field is the score
     lin_t - theta P_t of the method's bridge, from the set-up's bridge rule at the level's
     alpha: one matrix product per step. On a mixture each level's field is one mixture kernel
-    (tasks._mixture_kernel), set up per level from the posteriors weighted by the W_i and the
-    prior by W_0 (_level_weights).
+    (tasks._mixture_kernel) over the posteriors weighted by the W_i and the prior by W_0
+    (_level_weights). Given the plan's level times (LevelPlan.t), the factory's first call
+    sets up every level in one batched pass and hands each level (p, times[p]) out once;
+    any other (p, t) is set up alone, through the same call with one alpha, to the same bits.
+    A mixture field evaluates into buffers its kernel owns and returns a view of them.
     """
-    if task.n < 1:
-        raise ValueError("need at least one observation")
     if setup is None:
         setup = _ProxySetup.of_task(task, method)
     if task.one_component:
@@ -181,10 +193,19 @@ def composite_field(task: Task, method: str, s: Schedule, setup: _ProxySetup | N
         return bridge_factory
     base_prior = prior_dist(task)._params()
 
+    def kernels(level_times) -> list:
+        prior_weights, post_weights = _level_weights(setup, s, level_times)
+        stacks = [(setup.update, post_weights), (base_prior, prior_weights[:, None])]
+        return _mixture_kernel(stacks, schedule_alpha(s, np.asarray(level_times, dtype=float)))
+
+    planned: dict = {}  # (p, times[p]) -> that level's kernel, until it is handed out
+
     def factory(level_index: int, t: float) -> ScoreField:
-        prior_weight, post_weights = _level_weights(setup, s, t)
-        stacks = [(setup.update, post_weights), (base_prior, prior_weight[None])]
-        kernel = _mixture_kernel(stacks, schedule_alpha(s, t))
-        return lambda theta, t_arg: _kernel_score(kernel, np.ascontiguousarray(theta.T))[0].T
+        nonlocal times
+        if times is not None:
+            planned.update(zip(enumerate(np.asarray(times, dtype=float).tolist()), kernels(times)))
+            times = None
+        kernel = planned.pop((level_index, t), None) or kernels([t])[0]
+        return lambda theta, t_arg: _kernel_score(kernel, theta.T)[0].T
 
     return factory

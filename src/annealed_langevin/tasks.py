@@ -16,6 +16,7 @@ form. The family name is a label: every computation reads the model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -49,7 +50,8 @@ __all__ = [
 
 KINDS = ("gaussian", "gmm_prior", "gmm_likelihood")
 
-# A score field maps (theta batch, time) to gradients of the same shape.
+# A score field maps (theta batch, time) to gradients of the same shape: a fresh array, or a
+# view of buffers the field owns that stays valid until its next call.
 ScoreField = Callable[[np.ndarray, float], np.ndarray]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -377,6 +379,8 @@ def _conjugate_update(task: Task, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     covariances (K J^m, d, d); the covariances do not depend on x.
     """
     r, m, d = x.shape
+    if r * m == 0:  # a task without observations reaches here from every posterior path
+        raise ValueError("need at least one observation")
     log_w, mu, s2 = np.log(task.prior_weights), task.prior_means, task.prior_scales**2
     log_pi, c = np.log(task.likelihood_weights), task.likelihood_cov_scales
     # (J^m, m), lexicographic: the base-J digits of 0 .. J^m - 1 (J^m = 1 when J = 1)
@@ -456,8 +460,6 @@ def joint_posterior_mixture(task: Task) -> GaussianMixture:
     component to each observation (K J^n), in _conjugate_update's order;
     refuses above _COMPONENT_CAP.
     """
-    if task.n < 1:
-        raise ValueError("need at least one observation")
     _check_component_cap(task)
     log_w, means, covs = _conjugate_update(task, task.observations[None])
     return GaussianMixture(np.exp(log_w[0]), means[0], covs)
@@ -484,72 +486,105 @@ def _check_theta(task: Task, theta) -> np.ndarray:
     return theta
 
 
-def _mixture_kernel(stacks, a: float) -> tuple[np.ndarray, list[tuple[int, int]], np.ndarray]:
-    """Set up, once, stacks of mixtures diffused to alpha a, each mixture's score weighted.
+class _Kernel:
+    """One level's mixture kernel (see _mixture_kernel), with the buffers _kernel_score fills.
 
-    stacks holds ((log_w (n, K), means (n, K, d), covs (K, d, d)), W (n, d, d)) pairs: n
-    time-0 mixtures sharing component covariances, and the matrix W_i that multiplies the
-    (row-vector) score of mixture i. Diffusion to a maps N(mu, C) to
-    N(sqrt(a) mu, a C + (1 - a) I). Per stack, one batched Cholesky (the SPD check and the
-    log-determinants) and one batched inverse give the precisions P_k. Component j, mixture
-    i's component k, gets the logit row [c_ik, b_ik, -vec(P_k)/2], with b_ik = P_k mu_ik and
-    c_ik = log w_ik - mu_ik' P_k mu_ik / 2 - log det C_k / 2 - (d/2) log 2 pi, and the folded
-    column [b_ik W_i, vec(P_k W_i)]. Returns the logit rows (J, 1 + d + d^2), each stack's
-    (K, n) group (its rows k-major) and the folded (d + d^2, J) matrix.
+    The buffers are allocated on the first evaluation and again only when the batch size
+    changes; each evaluation's outputs are views of them, valid until the next evaluation.
     """
+
+    def __init__(self, rows: np.ndarray, groups: list[tuple[int, int]], folded: np.ndarray):
+        self.rows, self.groups, self.folded = rows, groups, folded
+        self._buffers: tuple | None = None
+
+    def buffers(self, d: int, N: int) -> tuple:
+        """The features (1, theta, vec(theta theta')), logits, folded product, a (d, N) term
+        and each group's shift and normalizer (the ones a one-component group keeps)."""
+        if self._buffers is None or self._buffers[0].shape[1] != N:
+            feats = np.empty((1 + d + d * d, N))
+            feats[0] = 1.0
+            norms = [(np.empty((n, N)), np.ones((n, N))) for _, n in self.groups]
+            out = np.empty((len(self.folded), N))
+            self._buffers = (feats, np.empty((len(self.rows), N)), out, np.empty((d, N)), norms)
+        return self._buffers
+
+
+def _mixture_kernel(stacks, alphas) -> list[_Kernel]:
+    """Set up, once, stacks of mixtures diffused to each alpha, each mixture's score weighted.
+
+    stacks holds ((log_w (n, K), means (n, K, d), covs (K, d, d)), W (L, n, d, d)) pairs: n
+    time-0 mixtures sharing component covariances, and per alpha (L of them) the matrix W_i
+    that multiplies the (row-vector) score of mixture i. Diffusion to a maps N(mu, C) to
+    N(sqrt(a) mu, a C + (1 - a) I). Per stack, one batched Cholesky (the SPD check and the
+    log-determinants) and one batched inverse over every alpha give the precisions P_k.
+    Component j, mixture i's component k, gets the logit row [c_ik, b_ik, -vec(P_k)/2], with
+    b_ik = P_k mu_ik and c_ik = log w_ik - mu_ik' P_k mu_ik / 2 - log det C_k / 2 - (d/2) log 2 pi,
+    and the folded column [b_ik W_i, vec(P_k W_i)]. Returns one _Kernel per alpha: the logit
+    rows (J, 1 + d + d^2), each stack's (K, n) group (its rows k-major) and the folded
+    (d + d^2, J) matrix. Each equals a one-alpha call's to the bit.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    L = alphas.size
+    a = alphas.reshape(L, 1, 1, 1)
     rows, groups, folded = [], [], []
     for (log_w, means, covs), weights in stacks:
         n, K, d = means.shape
-        means = np.sqrt(a) * means
-        covs = a * covs + (1.0 - a) * np.eye(d)
+        means = np.sqrt(a) * means  # (L, n, K, d)
+        covs = a * covs + (1.0 - a) * np.eye(d)  # (L, K, d, d)
         logdet = 2.0 * np.log(np.diagonal(np.linalg.cholesky(covs), axis1=-2, axis2=-1)).sum(-1)
         precs = _symmetric_inverse(covs)
-        lin = np.einsum("kij,nkj->kni", precs, means)
-        quad = np.einsum("kni,nki->kn", lin, means)
-        const = log_w.T - 0.5 * (quad + (logdet + d * _LOG_2PI)[:, None])
-        half_precs = np.broadcast_to(-0.5 * precs.reshape(K, 1, d * d), (K, n, d * d))
-        rows.append(np.concatenate([const[:, :, None], lin, half_precs], axis=2).reshape(K * n, -1))
+        lin = np.einsum("lkij,lnkj->lkni", precs, means)
+        quad = np.einsum("lkni,lnki->lkn", lin, means)
+        const = log_w.T - 0.5 * (quad + (logdet + d * _LOG_2PI)[:, :, None])
+        half_precs = np.broadcast_to(-0.5 * precs.reshape(L, K, 1, d * d), (L, K, n, d * d))
+        row = np.concatenate([const[..., None], lin, half_precs], axis=3)
+        rows.append(row.reshape(L, K * n, -1))
         groups.append((K, n))
-        c = np.einsum("kni,nij->knj", lin, weights).reshape(-1, d)
-        m = np.einsum("kab,nbc->knac", precs, weights).reshape(-1, d * d)
-        folded.append(np.concatenate([c, m], axis=1))
-    return np.concatenate(rows), groups, np.concatenate(folded).T.copy()
+        c = np.einsum("lkni,lnij->lknj", lin, weights).reshape(L, -1, d)
+        m = np.einsum("lkab,lnbc->lknac", precs, weights).reshape(L, -1, d * d)
+        folded.append(np.concatenate([c, m], axis=2))
+    rows, folded = np.concatenate(rows, axis=1), np.concatenate(folded, axis=1)
+    folded = np.ascontiguousarray(folded.transpose(0, 2, 1))
+    return [_Kernel(r, groups, f) for r, f in zip(rows, folded)]
 
 
 def _kernel_score(
-    kernel: tuple[np.ndarray, list[tuple[int, int]], np.ndarray], theta_t: np.ndarray
+    kernel: _Kernel, theta_t: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """The score sum_j r_j(theta) (c_j - theta M_j) (d, N) of a _mixture_kernel at theta_t (d, N).
+    """The score sum_j r_j(theta) (c_j - theta M_j) (d, N) of a _Kernel at theta_t (d, N).
 
     A row [c, b, -vec(P)/2] has the logit c + b theta - theta' P theta / 2, so every logit
     comes from one product with the features (1, theta, vec(theta theta')). The softmax
     runs over the K components of each of a group's n mixtures, after shifting the logits
-    by their maximum, so a point far from every component still gets finite values. The
-    responsibilities R (J, N) give C' R and M' R in one product with the folded matrix, and
-    theta is contracted with M' R. Also returns, per group, the shift and the normalizer
-    (n, N), whose shift + log(normalizer) is each mixture's log density.
+    by their maximum, so a point far from every component still gets finite values; a group
+    of one-component mixtures (K = 1) takes responsibility 1 directly, its shift the logit
+    and its normalizer 1. The responsibilities R (J, N) give C' R and M' R in one product
+    with the folded matrix, and theta is contracted with M' R. Also returns, per group, the
+    shift and the normalizer (n, N), whose shift + log(normalizer) is each mixture's log
+    density. Every output is a view of the kernel's buffers, valid until its next evaluation.
     """
-    rows, groups, folded = kernel
     d, N = theta_t.shape
-    feats = np.empty((1 + d + d * d, N))
-    feats[0] = 1.0
+    feats, resp, out, term, norms = kernel.buffers(d, N)
     feats[1 : d + 1] = theta_t
+    theta_t = feats[1 : d + 1]
     np.multiply(theta_t[:, None], theta_t[None], out=feats[d + 1 :].reshape(d, d, N))
-    resp = rows @ feats
-    norms = []
+    np.matmul(kernel.rows, feats, out=resp)
     start = 0
-    for K, n in groups:
+    for (K, n), (top, total) in zip(kernel.groups, norms):
         logits = resp[start : start + K * n].reshape(K, n, N)
-        top = logits.max(axis=0)
+        start += K * n
+        if K == 1:  # total stays the ones it was allocated as
+            top[...] = logits[0]
+            logits.fill(1.0)
+            continue
+        functools.reduce(functools.partial(np.maximum, out=top), logits)  # max over k
         logits -= top
         np.exp(logits, out=logits)
-        total = logits.sum(axis=0)
+        functools.reduce(functools.partial(np.add, out=total), logits)  # sum over k, in order
         logits /= total
-        norms.append((top, total))
-        start += K * n
-    out = folded @ resp
+    np.matmul(kernel.folded, resp, out=out)
     score = out[:d]
-    score -= np.einsum("abn,an->bn", out[d:].reshape(d, d, -1), theta_t)
+    score -= np.einsum("abn,an->bn", out[d:].reshape(d, d, N), theta_t, out=term)
     return score, norms
 
 
@@ -559,8 +594,8 @@ def _evaluate(
     """Score and log density at theta (..., d) of a stack of one mixture, diffused to alpha a."""
     theta = np.asarray(theta, dtype=float)
     d = theta.shape[-1]
-    kernel = _mixture_kernel([(params, np.eye(d)[None])], a)
-    score, [(top, total)] = _kernel_score(kernel, np.ascontiguousarray(theta.reshape(-1, d).T))
+    [kernel] = _mixture_kernel([(params, np.eye(d)[None, None])], [a])
+    score, [(top, total)] = _kernel_score(kernel, theta.reshape(-1, d).T)
     return score.T.reshape(theta.shape), (top + np.log(total)).reshape(theta.shape[:-1])
 
 

@@ -743,9 +743,9 @@ def test_threaded_runner_records_a_first_method_failure(tmp_path, monkeypatch, f
             raise TuningError("level 0: no step size meets the bias budget")
         return recording_plan(task, method, *args, **kwargs)
 
-    def diverging_field(task, method, sched, setup=None):
+    def diverging_field(task, method, sched, *plan_setup):
         if method != "geffner":
-            return field(task, method, sched, setup)
+            return field(task, method, sched, *plan_setup)
 
         def factory(level, t):
             def diverge(theta, t_arg):
@@ -892,9 +892,9 @@ def test_serial_lanes_record_a_failure_in_either_lane(tmp_path, monkeypatch, fai
             raise TuningError("level 0: no step size meets the bias budget")
         return recording_plan(task, method, *args, **kwargs)
 
-    def diverging_field(task, method, sched, setup=None):
+    def diverging_field(task, method, sched, *plan_setup):
         if method != failing or task.n != 2:
-            return field(task, method, sched, setup)
+            return field(task, method, sched, *plan_setup)
         return lambda level, t: functools.partial(_diverge, level=level)
 
     if failure == "tuning":

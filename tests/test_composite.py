@@ -134,7 +134,7 @@ def test_lambda_is_spd_on_gaussian_tasks(sched, d, n, log10_lo, log10_cond, t, s
     lo = 10.0**log10_lo
     task = gaussian_task(rand_spd(rng, d, lo, lo * 10.0**log10_cond), rng.standard_normal((n, d)))
     spec = spec_for_task(task, "linhart", sched)
-    prior_weight, post_weight = composite._level_weights(spec.proxies, sched, t)
+    [prior_weight], [post_weight] = composite._level_weights(spec.proxies, sched, [t])
     total = prior_weight + post_weight.reshape(n, d, d).sum(axis=0)
     np.testing.assert_allclose(total, np.eye(d), rtol=0, atol=1e-10)
 
@@ -211,6 +211,71 @@ def test_field_on_the_plan_setup_equals_the_field_that_sets_itself_up(kind, meth
     theta = np.random.default_rng(6).standard_normal((16, 2))
     for p, t in enumerate(lp.t.tolist()):
         assert planned(p, t)(theta, t).tobytes() == alone(p, t)(theta, t).tobytes()
+
+
+def _mixture_plan(kind, method, sched):
+    cfg = {"task": {"kind": kind, "dim": 2, "n": 5}}
+    if kind == "gmm_likelihood":  # the benchmark's variance scales
+        cfg["task"]["likelihood_mixture"] = {"cov_scales": [1.5, 0.5]}
+    task = build_task(resolve_config(cfg), 5, 3)
+    return task, plan(task, method, TuningConfig(gamma=0.5, omega=0.5, T=10), sched)
+
+
+@pytest.mark.parametrize("method", ["geffner", "linhart"])
+@pytest.mark.parametrize("kind", ["gmm_prior", "gmm_likelihood"])
+def test_batched_level_setup_equals_one_level_setups_to_the_bit(kind, method, sched, monkeypatch):
+    # every plan level's weights, logit rows and folded matrix from the one batched set-up equal
+    # a one-level build's; so do the planned field's scores at every level, at a time that is
+    # no plan level, and at a plan level asked for a second time
+    task, lp = _mixture_plan(kind, method, sched)
+    setup, prior = lp.setup, tasks.prior_dist(task)._params()
+
+    def kernels(times):
+        prior_weights, post_weights = composite._level_weights(setup, sched, times)
+        stacks = [(setup.update, post_weights), (prior, prior_weights[:, None])]
+        return prior_weights, post_weights, tasks._mixture_kernel(stacks, alpha(sched, times))
+
+    batched = kernels(lp.t)
+    for p, t in enumerate(lp.t.tolist()):
+        (prior_w,), (post_w,), (kernel,) = kernels(np.array([t]))
+        assert prior_w.tobytes() == batched[0][p].tobytes()
+        assert post_w.tobytes() == batched[1][p].tobytes()
+        for name in ("rows", "folded"):
+            assert getattr(kernel, name).tobytes() == getattr(batched[2][p], name).tobytes()
+        assert kernel.groups == batched[2][p].groups
+
+    calls, build = [], composite._mixture_kernel
+    monkeypatch.setattr(composite, "_mixture_kernel", lambda *a: calls.append(1) or build(*a))
+    planned = composite_field(task, method, sched, setup, lp.t)
+    alone = composite_field(task, method, sched, setup)
+    theta = np.random.default_rng(6).standard_normal((16, 2))
+    off_plan = [(0, 0.37), (3, float(lp.t[4]))]  # asked before levels 0 and 3 are handed out
+    for p, t in off_plan + [(p, float(lp.t[p])) for p in range(lp.T - 1, -1, -1)]:
+        assert planned(p, t)(theta, t).tobytes() == alone(p, t)(theta, t).tobytes()
+    # the planned factory's one pass, and one set-up per level off the plan on either factory
+    assert len(calls) == 1 + 2 * len(off_plan) + lp.T
+    p, t = lp.T - 1, float(lp.t[lp.T - 1])  # a plan level asked for again is set up alone
+    assert planned(p, t)(theta, t).tobytes() == alone(p, t)(theta, t).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gmm_prior", "gmm_likelihood"])
+def test_field_buffers_give_the_bytes_of_fresh_fields(kind, sched):
+    # a field writes into buffers it owns: evaluated at a second batch, and at a second batch
+    # size, it gives what a fresh field gives, and its output holds until its next call
+    task, lp = _mixture_plan(kind, "linhart", sched)
+    p, t = 2, float(lp.t[2])
+
+    def fresh(theta):
+        return composite_field(task, "linhart", sched, lp.setup, lp.t)(p, t)(theta, t).copy()
+
+    rng = np.random.default_rng(8)
+    batches = [rng.standard_normal((size, 2)) for size in (32, 32, 5)]
+    field = composite_field(task, "linhart", sched, lp.setup, lp.t)(p, t)
+    for theta in batches + batches[:1]:
+        out = field(theta, t)
+        held = out.copy()
+        assert out.shape == theta.shape and out.tobytes() == fresh(theta).tobytes()
+        assert out.tobytes() == held.tobytes()  # other fields' calls leave it as it was
 
 
 def test_gaussian_consistency_linhart_equals_joint(sched):

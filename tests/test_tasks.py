@@ -14,8 +14,10 @@ from annealed_langevin import (
     METHODS,
     GaussianDist,
     GaussianMixture,
+    Schedule,
     Task,
     TuningConfig,
+    alpha,
     annealed_sample,
     bridging_moments,
     composite_field,
@@ -34,7 +36,7 @@ from annealed_langevin import (
     prior_score,
     simulate_observations,
 )
-from annealed_langevin import tasks
+from annealed_langevin import tasks, theory
 from conftest import fd_grad, rand_spd, t_for_v
 
 
@@ -495,8 +497,11 @@ def test_mixture_kernel_matches_component_loop(K, n, d, log10_cond, seed):
     log_w -= logsumexp(log_w, axis=1, keepdims=True)
     # the n mixtures weighted by random W_i, then mixture 0 again as a second group, by W_0
     weights = rng.standard_normal((n + 1, d, d))
-    stacks = [((log_w, means, covs), weights[1:]), ((log_w[:1], means[:1], covs), weights[:1])]
-    kernel = tasks._mixture_kernel(stacks, 1.0)
+    stacks = [
+        ((log_w, means, covs), weights[None, 1:]),
+        ((log_w[:1], means[:1], covs), weights[None, :1]),
+    ]
+    [kernel] = tasks._mixture_kernel(stacks, [1.0])
 
     def within(radius, i, k, count):  # points at Mahalanobis distance radius from mean (i, k)
         z = rng.standard_normal((count, d))
@@ -527,6 +532,47 @@ def test_mixture_kernel_matches_component_loop(K, n, d, log10_cond, seed):
         scale = np.abs(ref_scores).max() * np.abs(weights).max() * (n + 1) * d
         np.testing.assert_allclose(score.T, ref, rtol=1e-9, atol=1e-9 * scale)
     assert logits.max() < -745.0  # exp of every far-tail component log density is 0
+
+
+def test_one_component_group_equals_an_explicit_softmax_to_the_bit(sched):
+    # a group of one-component mixtures takes responsibility 1 without a softmax; at finite
+    # theta that is bitwise what the shifted softmax gives, and the log density (shift plus
+    # log of the normalizer 1) is unchanged
+    task = gmm_likelihood_task(np.zeros((3, 2)), np.eye(2), cov_scales=(1.5, 0.5))
+    theta = 3.0 * np.random.default_rng(5).standard_normal((40, 2))
+    for t in (1e-5, 0.3, 0.9):
+        a = alpha(sched, t)
+        [kernel] = tasks._mixture_kernel([(prior_dist(task)._params(), np.eye(2)[None, None])], [a])
+        theta_t = np.ascontiguousarray(theta.T)
+        feats = np.concatenate([np.ones((1, 40)), theta_t, np.einsum("an,bn->abn", theta_t, theta_t)
+                                .reshape(4, 40)])
+        logits = kernel.rows @ feats  # (1, N): one mixture of one component
+        top = logits.max(axis=0, keepdims=True)
+        exp = np.exp(logits - top)
+        total = exp.sum(axis=0, keepdims=True)
+        out = kernel.folded @ (exp / total)
+        score = out[:2] - np.einsum("abn,an->bn", out[2:].reshape(2, 2, -1), theta_t)
+        assert prior_score(task, theta, t, sched).tobytes() == score.T.tobytes()
+        log_pdf = (top + np.log(total))[0]
+        assert prior_log_density(task, theta, t, sched).tobytes() == log_pdf.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        tasks.gaussian_proxies,
+        lambda task: bridging_moments(task, "linhart", 0.5, Schedule()),
+        lambda task: theory._ProxySetup.of_task(task, "geffner"),
+        joint_posterior_mixture,
+        lambda task: posterior_moments(task, None),
+        lambda task: composite_field(task, "geffner", Schedule()),
+    ],
+    ids=["gaussian_proxies", "bridging_moments", "of_task", "joint", "posterior_moments", "field"],
+)
+def test_a_task_without_observations_is_refused_by_name(call):
+    task = gaussian_task(np.eye(2) * 0.1, np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="need at least one observation"):
+        call(task)
 
 
 @settings(max_examples=60, deadline=None)
