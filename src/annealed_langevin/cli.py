@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import inspect
 import json
 import os
 import sys
@@ -23,10 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import metrics
 from .composite import compose_dsm_error, composite_field
-from .metrics import empirical_w2
-from .sampler import DivergenceError, SampleSet, annealed_sample
+from .metrics import _CAP, empirical_w2
+from .sampler import DivergenceError, SampleSet, _keyed_rng, annealed_sample
 from .schedule import Schedule, levels
 from .tasks import (
     KINDS,
@@ -200,10 +198,6 @@ def _methods(cfg: dict) -> list[str]:
     return list(METHODS) if cfg["method"] == "both" else [cfg["method"]]
 
 
-def _key_rng(*key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
-
-
 def _random_spd(dim: int, eig_range: tuple[float, float], rng: np.random.Generator) -> np.ndarray:
     lo, hi = eig_range
     eigs = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
@@ -235,7 +229,7 @@ def build_task(cfg: dict, n: int, cell_seed: int) -> Task:
         cov = like["cov"]  # gaussian_task and gmm_prior_task convert it; Task checks it
         if cov is None:
             cov = _random_spd(
-                dim, like["random_spd"]["eig_range"], _key_rng(data_seed, cell_seed)
+                dim, like["random_spd"]["eig_range"], _keyed_rng(data_seed, cell_seed)
             )
         if kind == "gaussian":
             template = gaussian_task(cov, empty)
@@ -248,7 +242,7 @@ def build_task(cfg: dict, n: int, cell_seed: int) -> Task:
                 prior_scales=prior["scales"],
                 prior_weights=prior["weights"],
             )
-    obs = simulate_observations(template, n, _key_rng(data_seed, cell_seed, n))
+    obs = simulate_observations(template, n, _keyed_rng(data_seed, cell_seed, n))
     return dataclasses.replace(template, observations=obs)
 
 
@@ -365,7 +359,7 @@ def _lanes(cfg: dict, tune_only: bool) -> tuple[int, bool]:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     chains = cfg["sampling"]["chains"]
     serial = chains * cfg["task"]["dim"] < _OVERLAP_MIN_BATCH
-    full_w2 = chains >= inspect.signature(metrics.empirical_w2).parameters["cap"].default
+    full_w2 = chains >= _CAP
     return 2 if not tune_only and (cpus or 1) >= 2 and (full_w2 or not serial) else 1, serial
 
 

@@ -16,10 +16,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .sampler import SampleSet
+from .sampler import SampleSet, _keyed_rng
 from .theory import _psd_sqrt
 
 __all__ = ["W2Report", "empirical_w2"]
+
+_CAP = 1024  # empirical_w2's default subsample size
 
 
 @dataclass(frozen=True)
@@ -40,9 +42,7 @@ def _subsample(side: SampleSet, target: int, subsample_seed: int) -> np.ndarray:
     if side.count == target:
         return side.points
     # keyed by the side's own identity so argument order cannot matter
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((subsample_seed, side.seed, side.count)))
-    )
+    rng = _keyed_rng(subsample_seed, side.seed, side.count)
     idx = rng.choice(side.count, size=target, replace=False)
     return side.points[np.sort(idx)]
 
@@ -67,7 +67,7 @@ def _gaussian_potential(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
 
 
 def empirical_w2(
-    a: SampleSet, b: SampleSet, cap: int = 1024, subsample_seed: int = 0
+    a: SampleSet, b: SampleSet, cap: int = _CAP, subsample_seed: int = 0
 ) -> W2Report:
     """Exact assignment-based W2 between two point sets with uniform weights.
 

@@ -87,10 +87,9 @@ def ula_chain(
     return SampleSet(points=pts, level=t, seed=start.seed, steps_used=start.steps_used + k)
 
 
-def _level_rng(seed: int, level_index: int) -> np.random.Generator:
-    # Counter-based stream keyed by (master seed, level); full noise matrices are
-    # drawn per step, so chain partitioning cannot change the numbers.
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, level_index))))
+def _keyed_rng(*key: int) -> np.random.Generator:
+    """The counter-based (Philox) stream keyed by a tuple of integers; (seed,) keys as seed does."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 def annealed_sample(
@@ -108,7 +107,8 @@ def annealed_sample(
         raise ValueError("need at least one chain")
     T = plan.t.size
     dim = plan.dim
-    init_rng = _level_rng(seed, T)
+    # one stream per (seed, level), full noise matrices per step: chain partitioning changes nothing
+    init_rng = _keyed_rng(seed, T)
     pts = init_rng.standard_normal((count, dim))
     current = SampleSet(points=pts, level=1.0, seed=seed, steps_used=0)
     for p in range(T - 1, -1, -1):
@@ -119,6 +119,6 @@ def annealed_sample(
             h=float(plan.h[p]),
             k=int(plan.k[p]),
             t=t_p,
-            rng=_level_rng(seed, p),
+            rng=_keyed_rng(seed, p),
         )
     return current

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import logsumexp
 
-from .sampler import SampleSet
+from .sampler import SampleSet, _keyed_rng
 from .schedule import Schedule, alpha as schedule_alpha
 
 __all__ = [
@@ -92,6 +92,11 @@ def _symmetric_inverse(mats: np.ndarray) -> np.ndarray:
 def _spd_inverse(mats: np.ndarray, label: str) -> np.ndarray:
     """Inverse of one SPD matrix (d, d) or of a stack (..., d, d), checked and symmetrized."""
     return _symmetric_inverse(_as_spd(mats, label))
+
+
+def _diffuse(covs: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
+    """Diffusion to alpha a, N(mu, C) -> N(sqrt(a) mu, a C + (1 - a) I), as (sqrt(a), covs)."""
+    return np.sqrt(a), a * covs + (1.0 - a) * np.eye(covs.shape[-1])
 
 
 def _moments(
@@ -470,8 +475,7 @@ def exact_posterior_sample(task: Task, count: int, seed: int) -> SampleSet:
     if count < 1:
         raise ValueError("need at least one sample")
     mixture = joint_posterior_mixture(task)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    points = mixture.sample(count, rng)
+    points = mixture.sample(count, _keyed_rng(seed))
     return SampleSet(points=points, level=0.0, seed=seed, steps_used=0)
 
 
@@ -514,8 +518,8 @@ def _mixture_kernel(stacks, alphas) -> list[_Kernel]:
 
     stacks holds ((log_w (n, K), means (n, K, d), covs (K, d, d)), W (L, n, d, d)) pairs: n
     time-0 mixtures sharing component covariances, and per alpha (L of them) the matrix W_i
-    that multiplies the (row-vector) score of mixture i. Diffusion to a maps N(mu, C) to
-    N(sqrt(a) mu, a C + (1 - a) I). Per stack, one batched Cholesky (the SPD check and the
+    that multiplies the (row-vector) score of mixture i, each mixture diffused to a by
+    _diffuse. Per stack, one batched Cholesky (the SPD check and the
     log-determinants) and one batched inverse over every alpha give the precisions P_k.
     Component j, mixture i's component k, gets the logit row [c_ik, b_ik, -vec(P_k)/2], with
     b_ik = P_k mu_ik and c_ik = log w_ik - mu_ik' P_k mu_ik / 2 - log det C_k / 2 - (d/2) log 2 pi,
@@ -529,8 +533,8 @@ def _mixture_kernel(stacks, alphas) -> list[_Kernel]:
     rows, groups, folded = [], [], []
     for (log_w, means, covs), weights in stacks:
         n, K, d = means.shape
-        means = np.sqrt(a) * means  # (L, n, K, d)
-        covs = a * covs + (1.0 - a) * np.eye(d)  # (L, K, d, d)
+        root, covs = _diffuse(covs, a)  # (L, K, d, d)
+        means = root * means  # (L, n, K, d)
         logdet = 2.0 * np.log(np.diagonal(np.linalg.cholesky(covs), axis1=-2, axis2=-1)).sum(-1)
         precs = _symmetric_inverse(covs)
         lin = np.einsum("lkij,lnkj->lkni", precs, means)

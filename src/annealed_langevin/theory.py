@@ -1,7 +1,7 @@
 """Closed-form Gaussian bridging distributions and their Langevin-relevant constants.
 
 Builds every bridging Gaussian from one set-up of the moment-matched proxies
-(exact on a one-component task): geffner's product of the diffused proxies, or
+(exact on a one-component task): geffner's composition of the diffused proxies, or
 linhart's time-0 composition of them, diffused. Also gives the exact scalar
 log-concavity/smoothness constants of the Gaussian bridges, their
 geffner-minus-linhart gap, and the analytic 2-Wasserstein distance between Gaussians.
@@ -17,8 +17,8 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .schedule import Schedule, alpha as schedule_alpha, v as schedule_v
-from .tasks import GaussianDist, Task, _as_spd, _conjugate_update, _proxies, _spd_inverse
-from .tasks import _symmetric_inverse, gaussian_proxies
+from .tasks import GaussianDist, Task, _as_spd, _conjugate_update, _diffuse, _proxies
+from .tasks import _spd_inverse, _symmetric_inverse, gaussian_proxies
 
 __all__ = [
     "METHODS",
@@ -76,8 +76,8 @@ class _ProxySetup:
     """The n+1 moment-matched proxies of one task, prior first, set up once per method.
 
     Each posterior covariance is checked SPD (the prior's is, as a GaussianDist) and equal ones
-    are grouped. linhart also inverts each distinct one once (precs) for the time-0 composition
-    prior^(1-n) prod_i posterior_i: P_c = (1-n) P_0 + sum_i P_i and its precision-weighted mean."""
+    are grouped. linhart also inverts each distinct one once (precs) and composes them at time 0
+    (compose): P_c = (1-n) P_0 + sum_i P_i and its precision-weighted mean."""
 
     def __init__(self, prior: GaussianDist, post_means, post_covs, method: str, update=None):
         self.method, self.update = _check_method(method), update
@@ -96,10 +96,16 @@ class _ProxySetup:
         self.weighted_means = np.zeros((len(keep), d))  # and its sum of w_i mu_i
         means = np.concatenate([prior.mean[None], post_means])
         np.add.at(self.weighted_means, self.group, weights[:, None] * means)
-        if method == "linhart":  # geffner's bridges and weights need no inverse
+        if method == "linhart":  # geffner composes the diffused proxies, not these
             self.precs = _symmetric_inverse(self.covs)
-            self.composed_prec = np.tensordot(self.weights, self.precs, 1)
-            self.composed_lin = np.einsum("gij,gj->i", self.precs, self.weighted_means)
+            self.composed_prec, self.composed_lin = self.compose(self.precs)
+
+    def compose(self, precs: np.ndarray, root=1.0) -> tuple[np.ndarray, np.ndarray]:
+        """The product prior^(1-n) prod_i posterior_i of Gaussians with the distinct covariances'
+        precisions precs (G, d, d) and the proxies' means times root: its precision
+        sum_g w_g P_g and its precision-weighted mean root sum_g P_g m_g (m_g: sum of w_i mu_i)."""
+        lin = np.einsum("gij,gj->i", precs, self.weighted_means)
+        return np.tensordot(self.weights, precs, 1), root * lin
 
     @classmethod
     def of_task(cls, task: Task, method: str) -> _ProxySetup:
@@ -116,38 +122,29 @@ class _ProxySetup:
 def _bridge_rule(proxies: _ProxySetup):
     """alphas -> the method's bridges' precisions (T, d, d) and precision-weighted means (T, d).
 
-    Diffusion to alpha maps N(mu, C) to N(sqrt(a) mu, a C + (1-a) I). linhart diffuses the
-    set-up's time-0 composition, which must be definite: one d x d inverse per alpha. geffner
-    multiplies the proxies, each diffused, which keeps the eigenvectors of each C = Q diag(lam) Q':
-    each distinct covariance is eigendecomposed once, and at any alpha the precision
-    sum_g w_g Q_g diag(1/(a lam_g + 1 - a)) Q_g' (w_g: the group's total weight) and the
-    precision-weighted mean are each one product over the stacked eigenbases.
+    Both rules take the same two steps, diffusion (tasks._diffuse, one d x d inverse per
+    covariance and alpha) and composition (_ProxySetup.compose), in the two orders. linhart
+    composes, then diffuses: the set-up's time-0 composition, which must be definite, is
+    diffused to each alpha. geffner diffuses, then composes: each distinct proxy covariance is
+    diffused to the alpha, inverted, and composed, one alpha at a time to bound the memory.
     """
     if proxies.method == "linhart":
         cov = _spd_inverse(proxies.composed_prec, "composed precision")
-        mean, eye = cov @ proxies.composed_lin, np.eye(len(cov))
+        mean = cov @ proxies.composed_lin
 
         def diffused(alphas) -> tuple[np.ndarray, np.ndarray]:
-            a = np.atleast_1d(alphas)[:, None, None]
-            precs = _symmetric_inverse(a * cov + (1.0 - a) * eye)
-            return precs, np.sqrt(a[:, 0]) * (precs @ mean)
+            root, covs = _diffuse(cov, np.atleast_1d(alphas)[:, None, None])
+            precs = _symmetric_inverse(covs)
+            return precs, root[:, 0] * (precs @ mean)
 
         return diffused
-    d = proxies.covs.shape[-1]
-    eigvals, vecs = np.linalg.eigh(proxies.covs)
-    weights = np.repeat(proxies.weights, d)  # flat over (distinct covariance, eigenvalue)
-    rotated = np.einsum("ikj,ik->ij", vecs, proxies.weighted_means).ravel()  # Q' sum w mu
-    basis = vecs.transpose(1, 0, 2).reshape(d, -1)  # [Q_0 Q_1 ...], columns ordered like weights
 
-    def product(alphas) -> tuple[np.ndarray, np.ndarray]:
-        a = np.atleast_1d(alphas)[:, None, None]
-        g = (1.0 / (a * eigvals + 1.0 - a)).reshape(len(a), -1)  # (T, distinct * d)
-        lins = np.sqrt(a[:, 0]) * ((g * rotated) @ basis.T)
-        # one (d, distinct * d) temporary at a time, not one per alpha
-        precs = np.array([(basis * w) @ basis.T for w in g * weights])
-        return 0.5 * (precs + np.swapaxes(precs, -1, -2)), lins
+    def composed(alphas) -> tuple[np.ndarray, np.ndarray]:
+        diffused = (_diffuse(proxies.covs, a) for a in np.atleast_1d(alphas))  # lazily
+        precs, lins = zip(*(proxies.compose(_symmetric_inverse(c), root) for root, c in diffused))
+        return np.array(precs), np.array(lins)
 
-    return product
+    return composed
 
 
 def _bridges(proxies: _ProxySetup, times, s: Schedule) -> tuple[np.ndarray, list]:

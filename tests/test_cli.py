@@ -6,7 +6,6 @@ import inspect
 import json
 import threading
 import time
-import types
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +71,12 @@ def test_resolve_config_rejects_unknown_keys_and_bad_values():
         resolve_config({"task": {"kind": "gmm_prior", "prior": {"scales": ["0.5", 0.5]}}})
     with pytest.raises(ValueError, match="task.prior.weights must hold numbers, got True"):
         resolve_config({"task": {"kind": "gmm_prior", "prior": {"weights": [True, False]}}})
+    with pytest.raises(ValueError, match="task.n list must be nonempty"):
+        resolve_config({"task": {"n": []}})
+    with pytest.raises(ValueError, match="task.dim must be positive"):
+        resolve_config({"task": {"dim": 0}})
+    with pytest.raises(ValueError, match="task.n must be at least 1"):  # when the cell is built
+        build_task(resolve_config({"task": {"n": 0}}), 0, 0)
 
 
 def test_resolve_config_ignores_unused_eig_range():
@@ -102,6 +107,9 @@ def test_main_rejects_bad_config(tmp_path, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
     missing = str(tmp_path / "nope.json")
     assert main(["tune", "--config", missing, "--out", str(tmp_path / "out")]) == 2
+    listed = _write_cfg(tmp_path / "list.json", [BASE])
+    assert main(["tune", "--config", listed, "--out", str(tmp_path / "out")]) == 2
+    assert "error: config root must be a JSON object" in capsys.readouterr().err
     # wrongly typed values are config errors too, not tracebacks
     for i, (command, bad) in enumerate(
         (
@@ -560,8 +568,9 @@ def test_sweep_isolates_failing_cells(tmp_path, capsys):
     [
         ("annealed_sample", DivergenceError("chain left the box", 0.5, 3), "divergence:"),
         ("composite_field", np.linalg.LinAlgError("lambda matrix is indefinite"), "numerical:"),
+        ("exact_posterior_sample", ValueError("joint posterior cannot be built"), "reference:"),
     ],
-    ids=["divergence", "numerical"],
+    ids=["divergence", "numerical", "reference"],
 )
 def test_sweep_records_sampling_failures(tmp_path, monkeypatch, target, exc, prefix):
     def fail(*args, **kwargs):
@@ -629,10 +638,9 @@ def _force_path(monkeypatch, threaded: bool, serial: bool = False) -> list:
     serial, one after the other; returns (thread, n, method, plan) for each plan."""
     monkeypatch.setattr(cli, "os", _TwoCpus)
     monkeypatch.setattr(cli, "_OVERLAP_MIN_BATCH", 0 if threaded and not serial else 10**12)
-    # the lane rule reads the W2 solve size from empirical_w2's signature; a cap of 1 makes
+    # the lane rule reads the W2 solve size from empirical_w2's default cap; a cap of 1 makes
     # every test batch a full-size solve, so a serial batch still takes two lanes
-    full_size = functools.partial(empirical_w2, cap=1 if threaded else 10**12)
-    monkeypatch.setattr(cli, "metrics", types.SimpleNamespace(empirical_w2=full_size))
+    monkeypatch.setattr(cli, "_CAP", 1 if threaded else 10**12)
     plans = []
 
     def recording_plan(task, method, *args, **kwargs):

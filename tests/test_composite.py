@@ -54,6 +54,8 @@ def test_spec_validation(sched):
     spec = CompositeSpec("linhart", 1, good, np.eye(2), sched)
     with pytest.raises(ValueError, match="needs a geffner spec"):
         geffner_score(spec, lambda th, t: -th, [lambda th, t: -th], np.zeros((1, 2)), 0.5)
+    with pytest.raises(ValueError, match="expected 1 posterior score fields, got 2"):
+        linhart_score(spec, lambda th, t: -th, [lambda th, t: -th] * 2, np.zeros((1, 2)), 0.5)
 
 
 def test_weight_matrices_need_positive_time(sched):
@@ -155,11 +157,11 @@ def test_stacked_covariance_checks_reach_the_last_matrix(flaw, sched):
 def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
     # one conjugate update feeds one proxy set-up, which both branches read; for
     # linhart it inverts each distinct covariance once (a gaussian task's n equal
-    # posterior covariances are one matrix), for geffner, whose bridges and weights
-    # need no inverse, none. A gaussian field's bridge rule is built once, not per
-    # level: geffner eigendecomposes the distinct covariances once, and linhart
-    # inverts the time-0 composition once and eigendecomposes nothing. A mixture
-    # field does no eigendecomposition, and each level sets up one kernel
+    # posterior covariances are one matrix), for geffner, which composes the diffused
+    # proxies instead, none. A gaussian field's bridge rule is built once, not per
+    # level: linhart inverts the time-0 composition once, geffner inverts the
+    # diffused proxies per level with no check, and neither eigendecomposes. A
+    # mixture field does no eigendecomposition, and each level sets up one kernel
     rng = np.random.default_rng(5)
     make = gaussian_task if kind == "gaussian" else gmm_prior_task
     task = make(rand_spd(rng, 2, 0.2, 1.0), rng.standard_normal((6, 2)))
@@ -190,8 +192,7 @@ def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
     for p, t in enumerate(levels(sched, 10)[:-1]):
         factory(p, float(t))(rng.standard_normal((3, 2)), float(t))
     if kind == "gaussian":
-        linhart = int(method == "linhart")
-        expected = dict(eigh=1 - linhart, bridge_inverse=linhart, kernel=0)
+        expected = dict(eigh=0, bridge_inverse=int(method == "linhart"), kernel=0)
     else:
         expected = dict(eigh=0, bridge_inverse=0, kernel=10)
     assert calls == {"update": 1, **expected}

@@ -43,6 +43,8 @@ def test_ula_chain_argument_validation():
         ula_chain(_standard_normal_score, start, h=0.0, k=5, t=0.5, rng=rng)
     with pytest.raises(ValueError):
         ula_chain(_standard_normal_score, start, h=0.1, k=-1, t=0.5, rng=rng)
+    with pytest.raises(ValueError, match="score output shape does not match the batch"):
+        ula_chain(lambda x, t: x[:, :1], start, h=0.1, k=1, t=0.5, rng=rng)
 
 
 def test_ula_chain_zero_steps_is_identity():

@@ -64,3 +64,6 @@ def test_schedule_validation():
         Schedule(beta_min=5.0, beta_max=1.0)
     with pytest.raises(ValueError):
         Schedule(t_floor=0.0)
+    for t in (-0.1, 1.5, [0.5, 1.5]):
+        with pytest.raises(ValueError, match=r"time must lie in \[0, 1\]"):
+            alpha(Schedule(), t)

@@ -289,6 +289,8 @@ def test_standard_normal_prior_score_is_time_invariant(sched):
 
 def test_prior_score_matches_log_density_gradient(sched):
     task = gmm_prior_task(np.eye(2) * 0.2, np.zeros((1, 2)))
+    prior = prior_dist(task)  # the time-0 prior, a GaussianMixture here
+    assert isinstance(prior, GaussianMixture)
     rng = np.random.default_rng(8)
     for _ in range(10):
         theta = rng.standard_normal(2) * 1.5
@@ -296,6 +298,8 @@ def test_prior_score_matches_log_density_gradient(sched):
         grad = fd_grad(lambda p: prior_log_density(task, p, t, sched), theta)
         score = prior_score(task, theta, t, sched)
         assert score == pytest.approx(grad, rel=1e-5, abs=1e-8)
+        assert prior.score(theta) == pytest.approx(fd_grad(prior.log_pdf, theta), rel=1e-5,
+                                                   abs=1e-8)
 
 
 def test_individual_score_matches_log_density_gradient(sched):
@@ -393,6 +397,31 @@ def test_task_validation():
         gmm_prior_task(np.eye(2), np.zeros((1, 2)), prior_weights=(0.7, 0.7))
     with pytest.raises(ValueError, match="out of range"):
         posterior_mixture(gaussian_task(np.eye(2), np.zeros((1, 2))), 1)
+    with pytest.raises(ValueError, match="likelihood_cov dimension disagrees with dim"):
+        Task(kind="gaussian", dim=3, observations=np.zeros((1, 3)), likelihood_cov=np.eye(2))
+    with pytest.raises(ValueError, match=r"prior_means must be \(K, dim\)"):
+        gmm_prior_task(np.eye(2), np.zeros((1, 2)), prior_means=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="prior component counts disagree"):
+        gmm_prior_task(np.eye(2), np.zeros((1, 2)), prior_weights=(0.2, 0.3, 0.5))
+    with pytest.raises(ValueError, match="likelihood_cov_scales must be positive"):
+        gmm_likelihood_task(np.zeros((1, 2)), dim=2, cov_scales=(1.0, -1.0))
+    with pytest.raises(ValueError, match="mean must be a vector"):
+        GaussianDist(np.zeros((1, 2)), np.eye(2))
+    with pytest.raises(ValueError, match="mean and cov dimensions disagree"):
+        GaussianDist(np.zeros(3), np.eye(2))
+    with pytest.raises(ValueError, match="cov must be a square matrix"):
+        GaussianDist(np.zeros(2), np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"expected weights \(K,\), means \(K, d\)"):
+        GaussianMixture(np.array([1.0]), np.zeros(2), np.eye(2)[None])
+    with pytest.raises(ValueError, match="component counts disagree"):
+        GaussianMixture(np.array([0.5, 0.5]), np.zeros((3, 2)), np.array([np.eye(2)] * 3))
+    task = gaussian_task(np.eye(2), np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="need at least one observation"):
+        simulate_observations(task, 0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="need at least one sample"):
+        exact_posterior_sample(task, 0, 0)
+    with pytest.raises(ValueError, match="theta dimension disagrees with the task"):
+        prior_score(task, np.zeros((1, 3)), 0.5, Schedule())
 
 
 def test_observation_count_property():
@@ -566,8 +595,10 @@ def test_one_component_group_equals_an_explicit_softmax_to_the_bit(sched):
         joint_posterior_mixture,
         lambda task: posterior_moments(task, None),
         lambda task: composite_field(task, "geffner", Schedule()),
+        lambda task: plan(task, "geffner", TuningConfig(gamma=0.5, omega=0.5), Schedule()),
     ],
-    ids=["gaussian_proxies", "bridging_moments", "of_task", "joint", "posterior_moments", "field"],
+    ids=["gaussian_proxies", "bridging_moments", "of_task", "joint", "posterior_moments", "field",
+         "plan"],
 )
 def test_a_task_without_observations_is_refused_by_name(call):
     task = gaussian_task(np.eye(2) * 0.1, np.zeros((0, 2)))

@@ -41,6 +41,10 @@ def test_scalar_constants_oracle(sched):
     gef = gaussian_constants(1.0, 2.0, 2, t, "geffner", sched)
     assert gef.m == pytest.approx(1.4, rel=1e-12)
     assert gef.M == pytest.approx(5.0 / 3.0, rel=1e-12)
+    with pytest.raises(ValueError, match="need 0 < sigma_min <= sigma_max"):
+        gaussian_constants(2.0, 1.0, 2, t, "linhart", sched)
+    with pytest.raises(ValueError, match="need at least one observation"):
+        gaussian_constants(1.0, 2.0, 0, t, "geffner", sched)
 
 
 def test_constant_gap_oracle(sched):
@@ -50,6 +54,8 @@ def test_constant_gap_oracle(sched):
     assert constant_gap(1.0, 1, t, sched) == 0.0
     with pytest.raises(ValueError):
         constant_gap(0.0, 2, t, sched)
+    with pytest.raises(ValueError, match="need at least one observation"):
+        constant_gap(1.0, 0, t, sched)
 
 
 def test_constant_gap_identities_on_grid(sched):
@@ -220,9 +226,9 @@ def test_proxy_bridge_matches_dense_formula_on_mixture_proxies(kind, method, sch
 
 @pytest.mark.parametrize("distinct", [False, True])
 def test_geffner_bridges_at_scale_allocate_no_per_level_stacks(distinct, sched):
-    # one eigendecomposition of the n+1 proxies serves every level: no
-    # (n, levels, d, d) stack of diffused covariances or their inverses,
-    # which alone would be 8 * 1000 * 11 * 50^2 bytes (210 MiB); numpy
+    # geffner diffuses, inverts and composes the n+1 proxies one level at a
+    # time: no (n, levels, d, d) stack of diffused covariances or their
+    # inverses, which alone would be 8 * 1000 * 11 * 50^2 bytes (210 MiB); numpy
     # reports its buffers to tracemalloc, so the peak is deterministic. A
     # gaussian task's posterior proxies share one covariance; scaled apart,
     # they are n distinct ones
@@ -248,6 +254,8 @@ def test_gaussian_w2_oracles():
     assert gaussian_w2(a, stretched) == pytest.approx(1.0, rel=1e-12)
     both = GaussianDist(np.array([1.0, 0.0]), np.diag([4.0, 1.0]))
     assert gaussian_w2(a, both) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        gaussian_w2(a, GaussianDist(np.zeros(3), np.eye(3)))
 
 
 def test_gaussian_w2_symmetry_and_general_formula():

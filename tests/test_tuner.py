@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,8 @@ def test_choose_step_infeasibility():
         choose_step(1.0, 1.0, TuningConfig(gamma=0.5, omega=0.5, eps_dsm=1.0), 2)
     with pytest.raises(ValueError):
         choose_step(2.0, 1.0, CFG, 2)  # m > M
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        choose_step(1.0, 1.0, CFG, 0)
 
 
 def test_choose_steps_oracle():
@@ -65,6 +68,8 @@ def test_choose_steps_oracle():
     assert choose_steps(1.0, 0.5, 0.0, CFG) >= 1
     with pytest.raises(ValueError):
         choose_steps(1.0, 1.5, 0.3, CFG)  # m*h >= 1
+    with pytest.raises(ValueError, match="w2_next must be nonnegative"):
+        choose_steps(1.0, 0.5, -0.1, CFG)
 
 
 def test_bias_term_oracle():
@@ -72,6 +77,9 @@ def test_bias_term_oracle():
     assert bias_term(2.0, 2.0, 0.0, 2, 0.1) == pytest.approx(0.05, rel=1e-14)
     with pytest.raises(ValueError):
         bias_term(0.0, 1.0, 0.01, 2, 0.0)
+    for h, d, eps in ((-0.01, 2, 0.0), (0.01, 0, 0.0), (0.01, 2, -0.1)):
+        with pytest.raises(ValueError, match=re.escape("need h >= 0, eps >= 0, d >= 1")):
+            bias_term(1.0, 1.0, h, d, eps)
 
 
 def test_tuning_config_validation():
@@ -255,15 +263,22 @@ def test_level_plan_validation():
         B=np.array([0.2]),
     )
     LevelPlan(**base)
-    for field_name, value in (
-        ("h", np.array([1.5])),  # above 2/(m+M)
-        ("k", np.array([0])),
-        ("B", np.array([0.3])),  # above omega*gamma
-        ("t", np.array([1.5])),
-        ("w2_next", np.array([-0.1])),
+    for field_name, value, message in (
+        ("h", np.array([1.5]), "need 0 < h < 2/(m+M) at every level"),
+        ("k", np.array([0]), "need k >= 1 at every level"),
+        ("B", np.array([0.3]), "bias term exceeds omega*gamma"),
+        ("t", np.array([1.5]), "level times must increase strictly within (0, 1)"),
+        ("w2_next", np.array([-0.1]), "w2_next must be nonnegative"),
+        ("dim", 0, "dim must be positive"),
+        ("gamma", 0.0, "invalid gamma/omega"),
+        ("omega", 1.0, "invalid gamma/omega"),
+        ("t", np.array([]), "need at least one level"),
+        ("m", np.array([1.0, 1.0]), "m shape disagrees with t"),
+        ("k", np.array([3.0]), "k must be integers, one per level"),
+        ("m", np.array([2.0]), "need 0 < m <= M at every level"),
     ):
         bad = dict(base, **{field_name: value})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(message)):
             LevelPlan(**bad)
 
 
