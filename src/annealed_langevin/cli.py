@@ -194,10 +194,6 @@ def resolve_config(
     return cfg
 
 
-def _methods(cfg: dict) -> list[str]:
-    return list(METHODS) if cfg["method"] == "both" else [cfg["method"]]
-
-
 def _random_spd(dim: int, eig_range: tuple[float, float], rng: np.random.Generator) -> np.ndarray:
     lo, hi = eig_range
     eigs = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
@@ -269,8 +265,9 @@ def _grid(cfg: dict, command: str) -> tuple[Schedule, list[tuple[int, Task, dict
         raise ValueError(f"task.n is a list; use the sweep command instead of {command}")
     n_list = n_value if isinstance(n_value, list) else [n_value]
     seeds = (command == "sweep" and cfg["sampling"]["seeds"]) or [cfg["sampling"]["seed"]]
+    methods = list(METHODS) if cfg["method"] == "both" else [cfg["method"]]
     return sched, [
-        (seed, build_task(cfg, n, seed), {m: _tuning_config(cfg, n, m) for m in _methods(cfg)})
+        (seed, build_task(cfg, n, seed), {m: _tuning_config(cfg, n, m) for m in methods})
         for n in n_list
         for seed in seeds
     ]
@@ -300,7 +297,7 @@ def _run_cell(
     sched: Schedule,
     reference: Callable[[], SampleSet],
     stop_after_plan: bool,
-    wait: Callable[[], object] = lambda: None,
+    wait: Callable[[], object],
 ) -> dict:
     """One (n, seed, method) cell: plan, then sample and evaluate unless stop_after_plan.
 
@@ -329,7 +326,7 @@ def _run_cell(
         if stop_after_plan:
             return record
         start = time.perf_counter()
-        field = composite_field(task, method, sched, level_plan.setup, level_plan.t)
+        field = composite_field(task, method, sched, level_plan)
         samples = annealed_sample(level_plan, field, cfg["sampling"]["chains"], seed)
         timing["sample_s"] = time.perf_counter() - start
         wait()

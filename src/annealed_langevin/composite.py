@@ -16,7 +16,6 @@ aggregation is the score of the method's bridging Gaussian (theory.proxy_bridge)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,18 +23,16 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .schedule import Schedule, alpha as schedule_alpha
 from .tasks import (
-    GaussianDist,
     ScoreField,
     Task,
     _kernel_score,
     _mixture_kernel,
-    gaussian_proxies,
     prior_dist,
 )
-from .theory import _check_method, _ProxySetup
+from .theory import CompositeSpec, _check_method
+from .tuner import LevelPlan
 
 __all__ = [
-    "CompositeSpec",
     "spec_for_task",
     "geffner_score",
     "linhart_score",
@@ -44,31 +41,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CompositeSpec:
-    """Aggregation method plus the covariance proxies the linhart weights need, set up once
-    (theory._ProxySetup: for linhart one inverse per distinct covariance, and P_c)."""
-
-    method: str
-    n: int
-    post_covs: np.ndarray  # (n, d, d)
-    prior_cov: np.ndarray  # (d, d)
-    sched: Schedule
-    proxies: _ProxySetup = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        prior = GaussianDist(np.zeros(np.shape(self.prior_cov)[:1]), self.prior_cov)
-        proxies = _ProxySetup(prior, np.zeros((self.n, prior.dim)), self.post_covs, self.method)
-        object.__setattr__(self, "proxies", proxies)
-
-
 def spec_for_task(task: Task, method: str, s: Schedule) -> CompositeSpec:
-    """Build a CompositeSpec with exact moment-matched covariances as proxies."""
-    prior, _, post_covs = gaussian_proxies(task)
-    return CompositeSpec(method, task.n, post_covs, prior.cov, s)
+    """The task's exact moment-matched proxies, set up for method on s (CompositeSpec.of_task)."""
+    return CompositeSpec.of_task(task, method, s)
 
 
-def _level_weights(proxies: _ProxySetup, s: Schedule, times) -> tuple:
+def _level_weights(proxies: CompositeSpec, times) -> tuple:
     """The rule's weights at each level time: the composite score is s_0 W_0 + sum_i s_i W_i.
 
     Scores are row vectors. geffner has W_0 = (1-n) I and W_i = I. linhart,
@@ -85,7 +63,7 @@ def _level_weights(proxies: _ProxySetup, s: Schedule, times) -> tuple:
     if proxies.method == "geffner":
         eye = np.eye(d)
         return np.broadcast_to((1 - n) * eye, (L, d, d)), np.broadcast_to(eye, (L, n, d, d))
-    a = schedule_alpha(s, np.asarray(times, dtype=float))
+    a = schedule_alpha(proxies.sched, np.asarray(times, dtype=float))
     noise = 1.0 - a
     if np.any(noise <= 0):
         raise ValueError("backward-kernel weights need t > 0")
@@ -118,7 +96,7 @@ def _compose(
     d = theta.shape[-1]
     prior = np.asarray(prior_score(theta, t), dtype=float).reshape(-1, d)
     posts = np.array([np.asarray(f(theta, t), dtype=float).reshape(-1, d) for f in post_scores])
-    [prior_weight], [post_weights] = _level_weights(spec.proxies, spec.sched, [t])
+    [prior_weight], [post_weights] = _level_weights(spec, [t])
     out = prior @ prior_weight + np.matmul(posts, post_weights).sum(axis=0)
     return out.reshape(theta.shape)
 
@@ -168,33 +146,35 @@ def composite_field(
     task: Task,
     method: str,
     s: Schedule,
-    setup: _ProxySetup | None = None,
-    times: np.ndarray | None = None,
+    plan: LevelPlan | None = None,
 ):
     """Level-score factory for annealed sampling: (level_index, t) -> ScoreField.
 
-    Both branches read one proxy set-up: the plan's (LevelPlan.setup), else the task's own
-    (theory._ProxySetup.of_task). On a one-component task each level's field is the score
-    lin_t - theta P_t of the method's bridge, from the set-up's bridge rule at the level's
-    alpha: one matrix product per step. On a mixture each level's field is one mixture kernel
-    (tasks._mixture_kernel) over the posteriors weighted by the W_i and the prior by W_0
-    (_level_weights). Given the plan's level times (LevelPlan.t), the factory's first call
-    sets up every level in one batched pass and hands each level (p, times[p]) out once;
-    any other (p, t) is set up alone, through the same call with one alpha, to the same bits.
-    A mixture field evaluates into buffers its kernel owns and returns a view of them.
+    Both branches read one proxy set-up: the plan's (LevelPlan.setup), which must be set up for
+    this method and schedule, else the task's own (CompositeSpec.of_task). On a one-component
+    task each level's field is the score lin_t - theta P_t of the method's bridge, from the
+    set-up's bridge rule at the level's alpha: one matrix product per step. On a mixture each
+    level's field is one mixture kernel (tasks._mixture_kernel) over the posteriors weighted by
+    the W_i and the prior by W_0 (_level_weights). Given a plan, the factory's first call sets
+    up every plan level (LevelPlan.t) in one batched pass and hands each level (p, t[p]) out
+    once; any other (p, t) is set up alone, through the same call with one alpha, to the same
+    bits. A mixture field evaluates into buffers its kernel owns and returns a view of them.
     """
-    if setup is None:
-        setup = _ProxySetup.of_task(task, method)
+    setup = CompositeSpec.of_task(task, method, s) if plan is None else plan.setup
+    if setup is None or (setup.method, setup.sched) != (method, s):
+        got = setup and f"{setup.method} on {setup.sched}"
+        raise ValueError(f"the plan's set-up is {got}, not {method} on {s}")
+    times = None if plan is None else plan.t
     if task.one_component:
         def bridge_factory(level_index: int, t: float) -> ScoreField:
-            (prec,), (lin,) = setup.rule(schedule_alpha(s, t))
+            (prec,), (lin,) = setup.rule(schedule_alpha(setup.sched, t))
             return lambda theta, t_arg: lin - theta @ prec
 
         return bridge_factory
     base_prior = prior_dist(task)._params()
 
     def kernels(level_times) -> list:
-        prior_weights, post_weights = _level_weights(setup, s, level_times)
+        prior_weights, post_weights = _level_weights(setup, level_times)
         stacks = [(setup.update, post_weights), (base_prior, prior_weights[:, None])]
         return _mixture_kernel(stacks, schedule_alpha(s, np.asarray(level_times, dtype=float)))
 

@@ -361,12 +361,6 @@ def simulate_observations(task: Task, count: int, rng: np.random.Generator) -> n
 # Per-observation posterior mixtures (time 0)
 
 
-def _check_index(task: Task, i: int) -> int:
-    if not 0 <= i < task.n:
-        raise ValueError(f"observation index {i} out of range for n={task.n}")
-    return i
-
-
 def _conjugate_update(task: Task, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Posteriors of r problems, each conditioned on its m observations: x is (r, m, d).
 
@@ -410,7 +404,8 @@ def _conjugate_update(task: Task, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _observation_params(task: Task, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    _check_index(task, i)
+    if not 0 <= i < task.n:
+        raise ValueError(f"observation index {i} out of range for n={task.n}")
     return _conjugate_update(task, task.observations[i : i + 1, None])
 
 
@@ -481,13 +476,6 @@ def exact_posterior_sample(task: Task, count: int, seed: int) -> SampleSet:
 
 # ---------------------------------------------------------------------------
 # Diffused scores and log densities
-
-
-def _check_theta(task: Task, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1] != task.dim:
-        raise ValueError("theta dimension disagrees with the task")
-    return theta
 
 
 class _Kernel:
@@ -605,7 +593,9 @@ def _evaluate(
 
 def _diffused(task: Task, params, theta: np.ndarray, t: float, s: Schedule):
     """Diffuse time-0 mixture parameters (a stack of one) to time t, then evaluate at theta."""
-    return _evaluate(params, _check_theta(task, theta), schedule_alpha(s, t))
+    if np.shape(theta)[-1] != task.dim:
+        raise ValueError("theta dimension disagrees with the task")
+    return _evaluate(params, theta, schedule_alpha(s, t))
 
 
 def prior_score(task: Task, theta: np.ndarray, t: float, s: Schedule) -> np.ndarray:

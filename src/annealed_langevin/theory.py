@@ -23,6 +23,7 @@ from .tasks import _spd_inverse, _symmetric_inverse, gaussian_proxies
 __all__ = [
     "METHODS",
     "BridgingConstants",
+    "CompositeSpec",
     "bridging_moments",
     "proxy_bridge",
     "gaussian_constants",
@@ -72,15 +73,17 @@ def bridging_moments(task: Task, method: str, t: float, s: Schedule) -> Gaussian
     return proxy_bridge(*gaussian_proxies(task), method, [t], s)[0]
 
 
-class _ProxySetup:
-    """The n+1 moment-matched proxies of one task, prior first, set up once per method.
+class CompositeSpec:
+    """The n+1 moment-matched proxies of one task, prior first, set up once per method and schedule.
 
     Each posterior covariance is checked SPD (the prior's is, as a GaussianDist) and equal ones
     are grouped. linhart also inverts each distinct one once (precs) and composes them at time 0
-    (compose): P_c = (1-n) P_0 + sum_i P_i and its precision-weighted mean."""
+    (compose): P_c = (1-n) P_0 + sum_i P_i and its precision-weighted mean. It is the plan's
+    set-up (LevelPlan.setup) and the spec the reference scores (composite.geffner_score) take."""
 
-    def __init__(self, prior: GaussianDist, post_means, post_covs, method: str, update=None):
-        self.method, self.update = _check_method(method), update
+    def __init__(self, prior: GaussianDist, post_means, post_covs, method: str, sched: Schedule,
+                 update=None):
+        self.method, self.sched, self.update = _check_method(method), sched, update
         post_covs = _as_spd(post_covs, "post_covs")
         n, d = len(post_covs), prior.dim
         if n < 1 or np.shape(post_means) != (n, d) or post_covs.shape != (n, d, d):
@@ -108,22 +111,22 @@ class _ProxySetup:
         return np.tensordot(self.weights, precs, 1), root * lin
 
     @classmethod
-    def of_task(cls, task: Task, method: str) -> _ProxySetup:
+    def of_task(cls, task: Task, method: str, sched: Schedule) -> CompositeSpec:
         """The task's set-up, keeping the posteriors' _conjugate_update output as update."""
         update = _conjugate_update(task, task.observations[:, None])
-        return cls(*_proxies(task, update), method, update)
+        return cls(*_proxies(task, update), method, sched, update)
 
     @functools.cached_property
     def rule(self):
-        """_bridge_rule, built on first use (not by CompositeSpec: linhart's may be indefinite)."""
+        """_bridge_rule, built on first use (linhart's may be indefinite; the weights need none)."""
         return _bridge_rule(self)
 
 
-def _bridge_rule(proxies: _ProxySetup):
+def _bridge_rule(proxies: CompositeSpec):
     """alphas -> the method's bridges' precisions (T, d, d) and precision-weighted means (T, d).
 
     Both rules take the same two steps, diffusion (tasks._diffuse, one d x d inverse per
-    covariance and alpha) and composition (_ProxySetup.compose), in the two orders. linhart
+    covariance and alpha) and composition (CompositeSpec.compose), in the two orders. linhart
     composes, then diffuses: the set-up's time-0 composition, which must be definite, is
     diffused to each alpha. geffner diffuses, then composes: each distinct proxy covariance is
     diffused to the alpha, inverted, and composed, one alpha at a time to bound the memory.
@@ -147,9 +150,9 @@ def _bridge_rule(proxies: _ProxySetup):
     return composed
 
 
-def _bridges(proxies: _ProxySetup, times, s: Schedule) -> tuple[np.ndarray, list]:
+def _bridges(proxies: CompositeSpec, times) -> tuple[np.ndarray, list]:
     """The bridges' precisions (T, d, d) and the bridges at each of the times (see proxy_bridge)."""
-    precs, lins = proxies.rule(schedule_alpha(s, times))
+    precs, lins = proxies.rule(schedule_alpha(proxies.sched, times))
     covs = _spd_inverse(precs, "composed precision")
     return precs, [GaussianDist(mean=cov @ lin, cov=cov) for cov, lin in zip(covs, lins)]
 
@@ -166,7 +169,7 @@ def proxy_bridge(
 
     linhart diffuses the time-0 composition to each time; geffner composes the proxies diffused
     to each time, and a failed composition names the index of its time (_bridges)."""
-    return _bridges(_ProxySetup(prior_proxy, post_means, post_covs, method), times, s)[1]
+    return _bridges(CompositeSpec(prior_proxy, post_means, post_covs, method, s), times)[1]
 
 
 def gaussian_constants(

@@ -17,7 +17,7 @@ import numpy as np
 from .schedule import Schedule, levels
 from .tasks import Task
 from .theory import bridging_moments, proxy_bridge  # noqa: F401  (perfbench/worker.py needs them)
-from .theory import _bridges, _check_method, _ProxySetup, gaussian_w2
+from .theory import CompositeSpec, _bridges, _check_method, gaussian_w2
 
 __all__ = [
     "TuningError",
@@ -70,7 +70,8 @@ class LevelPlan:
 
     proxy marks plans whose constants and distances come from Gaussian
     moment proxies rather than exact bridging densities. setup, which composite_field
-    reads and no report writes, is the plan's proxy set-up (theory._ProxySetup.of_task).
+    reads and no report writes, is the plan's proxy set-up, a theory.CompositeSpec
+    (CompositeSpec.of_task on the plan's method and schedule).
     """
 
     method: str
@@ -85,7 +86,7 @@ class LevelPlan:
     w2_next: np.ndarray
     B: np.ndarray
     proxy: bool = False
-    setup: _ProxySetup | None = field(default=None, repr=False, compare=False)
+    setup: CompositeSpec | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_method(self.method)
@@ -203,8 +204,8 @@ def plan(task: Task, method: str, cfg: TuningConfig, s: Schedule) -> LevelPlan:
     times = levels(s, cfg.T)
     d = task.dim
     try:
-        setup = _ProxySetup.of_task(task, method)
-        precs, bridges = _bridges(setup, times, s)
+        setup = CompositeSpec.of_task(task, method, s)
+        precs, bridges = _bridges(setup, times)
     except ValueError as exc:
         raise TuningError(f"bridging densities: {exc}") from exc
     eigs = np.linalg.eigvalsh(precs[:-1])

@@ -410,7 +410,7 @@ def test_sample_sets_up_each_method_cell_once(tmp_path, monkeypatch, kind):
     # plan builds a cell's proxy set-up from one per-observation conjugate update
     # and builds its bridge rule; the sampler's field reads both from the plan
     calls = {"update": 0, "setup": 0, "rule": 0}
-    update, init, rule = tasks._conjugate_update, theory._ProxySetup.__init__, theory._bridge_rule
+    update, init, rule = tasks._conjugate_update, theory.CompositeSpec.__init__, theory._bridge_rule
 
     def counted_update(task, x):
         calls["update"] += x.shape[1] == 1  # the reference's joint update conditions on all n
@@ -426,7 +426,7 @@ def test_sample_sets_up_each_method_cell_once(tmp_path, monkeypatch, kind):
 
     for module in (tasks, theory):
         monkeypatch.setattr(module, "_conjugate_update", counted_update)
-    monkeypatch.setattr(theory._ProxySetup, "__init__", counted_init)
+    monkeypatch.setattr(theory.CompositeSpec, "__init__", counted_init)
     monkeypatch.setattr(theory, "_bridge_rule", counted_rule)
     path = _write_cfg(tmp_path / "cfg.json", dict(BASE, task={"kind": kind, "dim": 2, "n": 3}))
     assert main(["sample", "--config", path, "--out", str(tmp_path / "run")]) == 0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -42,16 +43,23 @@ def _joint_diffused_score(task, theta, t, s):
     return diffused.score(theta)
 
 
+def _spec(method, post_covs, prior_cov, sched):
+    """A spec from covariances alone (zero means): the composite weights read no mean."""
+    post_covs = np.asarray(post_covs, dtype=float)
+    prior = GaussianDist(np.zeros(len(prior_cov)), prior_cov)
+    return CompositeSpec(prior, np.zeros(post_covs.shape[:2]), post_covs, method, sched)
+
+
 def test_spec_validation(sched):
     good = np.eye(2)[None, :, :]
     with pytest.raises(ValueError):
-        CompositeSpec("nope", 1, good, np.eye(2), sched)
+        _spec("nope", good, np.eye(2), sched)
     with pytest.raises(ValueError):
-        CompositeSpec("geffner", 0, good, np.eye(2), sched)
+        _spec("geffner", np.zeros((0, 2, 2)), np.eye(2), sched)
     with pytest.raises(ValueError):
-        CompositeSpec("geffner", 1, good, np.eye(3), sched)
+        _spec("geffner", good, np.eye(3), sched)
     # the weights come from the spec's method, so a spec of the other rule is refused
-    spec = CompositeSpec("linhart", 1, good, np.eye(2), sched)
+    spec = _spec("linhart", good, np.eye(2), sched)
     with pytest.raises(ValueError, match="needs a geffner spec"):
         geffner_score(spec, lambda th, t: -th, [lambda th, t: -th], np.zeros((1, 2)), 0.5)
     with pytest.raises(ValueError, match="expected 1 posterior score fields, got 2"):
@@ -74,9 +82,7 @@ def test_linhart_score_identity_design(sched):
     v_t = 1.0 - a
     c = v_t / (v_t - a)
     n = 4
-    spec = CompositeSpec(
-        "linhart", n, np.tile(c * np.eye(2), (n, 1, 1)), c * np.eye(2), sched
-    )
+    spec = _spec("linhart", np.tile(c * np.eye(2), (n, 1, 1)), c * np.eye(2), sched)
     theta = np.random.default_rng(3).standard_normal((5, 2))
     prior = lambda th, t: -th
     posts = [lambda th, t, i=i: (i + 1.0) * th for i in range(n)]
@@ -87,9 +93,7 @@ def test_linhart_score_identity_design(sched):
 def test_linhart_score_rejects_indefinite(sched):
     # huge prior precision with (1 - n) < 0 drives Lambda_t indefinite
     n = 3
-    spec = CompositeSpec(
-        "linhart", n, np.tile(np.eye(2) * 10.0, (n, 1, 1)), np.eye(2) * 1e-4, sched
-    )
+    spec = _spec("linhart", np.tile(np.eye(2) * 10.0, (n, 1, 1)), np.eye(2) * 1e-4, sched)
     posts = [lambda th, t: -th] * n
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         linhart_score(spec, lambda th, t: -th, posts, np.zeros((1, 2)), 0.9)
@@ -102,7 +106,7 @@ def test_linhart_score_matches_solved_precision_weighting(seed, sched):
     n, d = int(rng.integers(1, 7)), int(rng.integers(1, 6))
     prior_cov = rand_spd(rng, d, 2.0, 5.0)  # weak prior precision keeps Lambda_t SPD
     post_covs = np.array([rand_spd(rng, d, 0.05, 1.0) for _ in range(n)])
-    spec = CompositeSpec("linhart", n, post_covs, prior_cov, sched)
+    spec = _spec("linhart", post_covs, prior_cov, sched)
     maps = rng.standard_normal((n + 1, d, d))
     offsets = rng.standard_normal((n + 1, d))
     fields = [lambda th, t, i=i: th @ maps[i] + offsets[i] for i in range(n + 1)]
@@ -136,7 +140,7 @@ def test_lambda_is_spd_on_gaussian_tasks(sched, d, n, log10_lo, log10_cond, t, s
     lo = 10.0**log10_lo
     task = gaussian_task(rand_spd(rng, d, lo, lo * 10.0**log10_cond), rng.standard_normal((n, d)))
     spec = spec_for_task(task, "linhart", sched)
-    [prior_weight], [post_weight] = composite._level_weights(spec.proxies, sched, [t])
+    [prior_weight], [post_weight] = composite._level_weights(spec, [t])
     total = prior_weight + post_weight.reshape(n, d, d).sum(axis=0)
     np.testing.assert_allclose(total, np.eye(d), rtol=0, atol=1e-10)
 
@@ -149,7 +153,7 @@ def test_stacked_covariance_checks_reach_the_last_matrix(flaw, sched):
     with pytest.raises(ValueError, match=rf"covs\[3\] is not {message}"):
         GaussianMixture(np.full(4, 0.25), np.zeros((4, 2)), covs)
     with pytest.raises(ValueError, match=rf"post_covs\[3\] is not {message}"):
-        CompositeSpec("linhart", 4, covs, np.eye(2), sched)
+        _spec("linhart", covs, np.eye(2), sched)
 
 
 @pytest.mark.parametrize("method", ["geffner", "linhart"])
@@ -175,7 +179,7 @@ def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
 
         return wrapper
 
-    init = theory._ProxySetup.__init__
+    init = theory.CompositeSpec.__init__
 
     def setup(proxies, *args):
         init(proxies, *args)
@@ -184,7 +188,7 @@ def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
     update = counted("update", tasks._conjugate_update)
     monkeypatch.setattr(tasks, "_conjugate_update", update)
     monkeypatch.setattr(theory, "_conjugate_update", update)
-    monkeypatch.setattr(theory._ProxySetup, "__init__", setup)
+    monkeypatch.setattr(theory.CompositeSpec, "__init__", setup)
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(theory, "_spd_inverse", counted("bridge_inverse", theory._spd_inverse))
     monkeypatch.setattr(composite, "_mixture_kernel", counted("kernel", composite._mixture_kernel))
@@ -207,11 +211,47 @@ def test_field_on_the_plan_setup_equals_the_field_that_sets_itself_up(kind, meth
     # its own, and every level's scores agree to the bit
     task = build_task(resolve_config({"task": {"kind": kind, "dim": 2, "n": 5}}), 5, 3)
     lp = plan(task, method, TuningConfig(gamma=0.5, omega=0.5, T=10), sched)
-    planned = composite_field(task, method, sched, lp.setup)
+    planned = composite_field(task, method, sched, lp)
     alone = composite_field(task, method, sched)
     theta = np.random.default_rng(6).standard_normal((16, 2))
     for p, t in enumerate(lp.t.tolist()):
         assert planned(p, t)(theta, t).tobytes() == alone(p, t)(theta, t).tobytes()
+
+
+def test_field_refuses_a_plan_it_cannot_use(sched):
+    # a plan's set-up fixes the method and the schedule, so a field asked for another method or
+    # schedule, or given a plan with no set-up, would sample bridges it was not asked for
+    task = gaussian_task(np.eye(2) * 0.5, np.ones((3, 2)))
+    lp = plan(task, "linhart", TuningConfig(gamma=0.5, omega=0.5, T=10), sched)
+    other = Schedule(beta_max=10.0)
+    for given, method, s, got in [
+        (dataclasses.replace(lp, setup=None), "linhart", sched, "None"),
+        (lp, "geffner", sched, f"linhart on {sched}"),
+        (lp, "linhart", other, f"linhart on {sched}"),
+    ]:
+        message = f"the plan's set-up is {got}, not {method} on {s}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            composite_field(task, method, s, given)
+
+
+@pytest.mark.parametrize("method", ["geffner", "linhart"])
+@pytest.mark.parametrize("kind", ["gaussian", "gmm_prior"])
+def test_plan_setup_is_the_reference_spec(kind, method, sched):
+    # the reference scores take the plan's set-up as their spec and give, to the bit, what they
+    # give on the spec spec_for_task builds
+    task = build_task(resolve_config({"task": {"kind": kind, "dim": 2, "n": 5}}), 5, 3)
+    lp = plan(task, method, TuningConfig(gamma=0.5, omega=0.5, T=10), sched)
+    spec = spec_for_task(task, method, sched)
+    compose = geffner_score if method == "geffner" else linhart_score
+    prior = lambda th, t: prior_score(task, th, t, sched)
+    posts = [
+        (lambda th, t, i=i: individual_posterior_score(task, i, th, t, sched))
+        for i in range(task.n)
+    ]
+    theta = np.random.default_rng(7).standard_normal((8, 2))
+    for t in (1e-3, 0.3, 0.9):
+        planned = compose(lp.setup, prior, posts, theta, t)
+        assert planned.tobytes() == compose(spec, prior, posts, theta, t).tobytes()
 
 
 def _mixture_plan(kind, method, sched):
@@ -232,7 +272,7 @@ def test_batched_level_setup_equals_one_level_setups_to_the_bit(kind, method, sc
     setup, prior = lp.setup, tasks.prior_dist(task)._params()
 
     def kernels(times):
-        prior_weights, post_weights = composite._level_weights(setup, sched, times)
+        prior_weights, post_weights = composite._level_weights(setup, times)
         stacks = [(setup.update, post_weights), (prior, prior_weights[:, None])]
         return prior_weights, post_weights, tasks._mixture_kernel(stacks, alpha(sched, times))
 
@@ -247,8 +287,8 @@ def test_batched_level_setup_equals_one_level_setups_to_the_bit(kind, method, sc
 
     calls, build = [], composite._mixture_kernel
     monkeypatch.setattr(composite, "_mixture_kernel", lambda *a: calls.append(1) or build(*a))
-    planned = composite_field(task, method, sched, setup, lp.t)
-    alone = composite_field(task, method, sched, setup)
+    planned = composite_field(task, method, sched, lp)
+    alone = composite_field(task, method, sched)
     theta = np.random.default_rng(6).standard_normal((16, 2))
     off_plan = [(0, 0.37), (3, float(lp.t[4]))]  # asked before levels 0 and 3 are handed out
     for p, t in off_plan + [(p, float(lp.t[p])) for p in range(lp.T - 1, -1, -1)]:
@@ -267,11 +307,11 @@ def test_field_buffers_give_the_bytes_of_fresh_fields(kind, sched):
     p, t = 2, float(lp.t[2])
 
     def fresh(theta):
-        return composite_field(task, "linhart", sched, lp.setup, lp.t)(p, t)(theta, t).copy()
+        return composite_field(task, "linhart", sched, lp)(p, t)(theta, t).copy()
 
     rng = np.random.default_rng(8)
     batches = [rng.standard_normal((size, 2)) for size in (32, 32, 5)]
-    field = composite_field(task, "linhart", sched, lp.setup, lp.t)(p, t)
+    field = composite_field(task, "linhart", sched, lp)(p, t)
     for theta in batches + batches[:1]:
         out = field(theta, t)
         held = out.copy()
@@ -303,7 +343,7 @@ def test_gaussian_consistency_linhart_equals_joint(sched):
 def test_unweighted_composite_formula(sched):
     # (1 - n) * prior + sum of per-observation fields, checked literally
     n = 3
-    spec = CompositeSpec("geffner", n, np.tile(np.eye(2), (n, 1, 1)), np.eye(2), sched)
+    spec = _spec("geffner", np.tile(np.eye(2), (n, 1, 1)), np.eye(2), sched)
     theta = np.random.default_rng(0).standard_normal((5, 2))
     prior = lambda th, t: -th
     posts = [lambda th, t, i=i: (i + 1.0) * th for i in range(n)]
@@ -317,13 +357,7 @@ def test_composite_scores_linear_in_fields(method, sched):
     rng = np.random.default_rng(9)
     n = 3
     # tight per-observation proxies and a loose prior keep the mixing matrix SPD
-    spec = CompositeSpec(
-        method,
-        n,
-        np.array([rand_spd(rng, 2, 0.2, 0.4) for _ in range(n)]),
-        np.eye(2),
-        sched,
-    )
+    spec = _spec(method, [rand_spd(rng, 2, 0.2, 0.4) for _ in range(n)], np.eye(2), sched)
     compose = geffner_score if method == "geffner" else linhart_score
     mats_a = [rng.standard_normal((2, 2)) for _ in range(n + 1)]
     mats_b = [rng.standard_normal((2, 2)) for _ in range(n + 1)]

@@ -1,5 +1,9 @@
+import contextlib
 import importlib
 import inspect
+import io
+import re
+from pathlib import Path
 
 import annealed_langevin
 
@@ -44,3 +48,15 @@ def test_every_name_the_benchmark_worker_rebinds_is_still_bound():
     assert cli.plan is annealed_langevin.tuner.plan
     assert cli.annealed_sample is annealed_langevin.sampler.annealed_sample
     assert cli.empirical_w2 is annealed_langevin.metrics.empirical_w2
+
+
+def test_readme_quick_start_runs_and_meets_its_gamma():
+    # the one python block under "Quick start (library)" runs against the package as it is and
+    # its last printed value, the samples' W2 to the exact posterior, is below gamma 0.5
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)", 1)[1].split("\n## ", 1)[0]
+    [block] = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert float(out.getvalue().split()[-1]) < 0.5

@@ -591,7 +591,7 @@ def test_one_component_group_equals_an_explicit_softmax_to_the_bit(sched):
     [
         tasks.gaussian_proxies,
         lambda task: bridging_moments(task, "linhart", 0.5, Schedule()),
-        lambda task: theory._ProxySetup.of_task(task, "geffner"),
+        lambda task: theory.CompositeSpec.of_task(task, "geffner", Schedule()),
         joint_posterior_mixture,
         lambda task: posterior_moments(task, None),
         lambda task: composite_field(task, "geffner", Schedule()),
