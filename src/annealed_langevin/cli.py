@@ -108,14 +108,16 @@ def _int(value, name: str) -> int:
 
 
 def _float(value, name: str) -> float:
-    """value as a float; a string or a boolean is refused, not parsed (" 7 ") or read as 0/1."""
+    """value as a finite float; a string or a bool is refused, not parsed (" 7 ") or read as 0/1."""
     if isinstance(value, (bool, str)):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if not np.isfinite(float(value)):  # JSON's NaN, Infinity and -Infinity
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
 def _numbers(value, name: str) -> None:
-    """Refuse a string or a boolean anywhere in value; a null is left to the task's checks."""
+    """Refuse a string, a boolean, NaN or an infinity anywhere in value; a null is left to Task."""
     if isinstance(value, dict):
         for key, entry in value.items():
             _numbers(entry, f"{name}.{key}")
@@ -124,6 +126,8 @@ def _numbers(value, name: str) -> None:
             _numbers(entry, name)
     elif isinstance(value, (bool, str)):
         raise ValueError(f"{name} must hold numbers, got {value!r}")
+    elif isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"{name} must hold finite numbers, got {value!r}")
 
 
 def resolve_config(

@@ -25,8 +25,8 @@ class Schedule:
     t_floor: float = 1e-5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.beta_min <= self.beta_max:
-            raise ValueError("need 0 < beta_min <= beta_max")
+        if not 0.0 < self.beta_min <= self.beta_max < np.inf:
+            raise ValueError("need 0 < beta_min <= beta_max < inf")
         if not 0.0 < self.t_floor < 1.0:
             raise ValueError("t_floor must lie in (0, 1)")
 

@@ -226,6 +226,8 @@ class Task:
         obs = np.asarray(self.observations, dtype=float)
         if obs.ndim != 2 or obs.shape[1] != self.dim:
             raise ValueError("observations must be an (n, dim) matrix")
+        if not np.all(np.isfinite(obs)):
+            raise ValueError("observations must be finite")
         cov = _as_spd(self.likelihood_cov, "likelihood_cov")
         if cov.shape != (self.dim, self.dim):
             raise ValueError("likelihood_cov dimension disagrees with dim")
@@ -235,14 +237,16 @@ class Task:
         weights = _checked_weights(self.prior_weights)
         if means.ndim != 2 or means.shape[1] != self.dim:
             raise ValueError("prior_means must be (K, dim)")
-        if scales.shape != (means.shape[0],) or np.any(scales <= 0):
-            raise ValueError("prior_scales must be K positive values")
+        if not np.all(np.isfinite(means)):
+            raise ValueError("prior_means must be finite")
+        if scales.shape != (means.shape[0],) or not np.all((scales > 0) & np.isfinite(scales)):
+            raise ValueError("prior_scales must be K positive finite values")
         if weights.size != means.shape[0]:
             raise ValueError("prior component counts disagree")
         cov_scales = np.asarray(self.likelihood_cov_scales, dtype=float)
         like_weights = _checked_weights(self.likelihood_weights)
-        if cov_scales.ndim != 1 or np.any(cov_scales <= 0):
-            raise ValueError("likelihood_cov_scales must be positive")
+        if cov_scales.ndim != 1 or not np.all((cov_scales > 0) & np.isfinite(cov_scales)):
+            raise ValueError("likelihood_cov_scales must be positive and finite")
         if like_weights.size != cov_scales.size:
             raise ValueError("likelihood component counts disagree")
         K, J = weights.size, like_weights.size

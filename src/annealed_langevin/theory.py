@@ -1,8 +1,9 @@
 """Closed-form Gaussian bridging distributions and their Langevin-relevant constants.
 
-Builds every bridging Gaussian from one set-up of the moment-matched proxies
-(exact on a one-component task): geffner's composition of the diffused proxies, or
-linhart's time-0 composition of them, diffused. Also gives the exact scalar
+CompositeSpec sets up the moment-matched proxies (exact on a one-component task) once
+and gives each rule's per-level products: its bridges (geffner's composition of the
+diffused proxies, or linhart's time-0 composition of them, diffused) and the weights of
+its composite score (level_weights). Also gives the exact scalar
 log-concavity/smoothness constants of the Gaussian bridges, their
 geffner-minus-linhart gap, and the analytic 2-Wasserstein distance between Gaussians.
 """
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .schedule import Schedule, alpha as schedule_alpha, v as schedule_v
 from .tasks import GaussianDist, Task, _as_spd, _conjugate_update, _diffuse, _proxies
@@ -78,8 +79,9 @@ class CompositeSpec:
 
     Each posterior covariance is checked SPD (the prior's is, as a GaussianDist) and equal ones
     are grouped. linhart also inverts each distinct one once (precs) and composes them at time 0
-    (compose): P_c = (1-n) P_0 + sum_i P_i and its precision-weighted mean. It is the plan's
-    set-up (LevelPlan.setup) and the spec the reference scores (composite.geffner_score) take."""
+    (compose): P_c = (1-n) P_0 + sum_i P_i and its precision-weighted mean. Each level's bridge
+    (bridges) and score weights (level_weights) come from here. It is the plan's set-up
+    (LevelPlan.setup) and the spec the reference scores (composite.geffner_score) take."""
 
     def __init__(self, prior: GaussianDist, post_means, post_covs, method: str, sched: Schedule,
                  update=None):
@@ -117,42 +119,67 @@ class CompositeSpec:
         return cls(*_proxies(task, update), method, sched, update)
 
     @functools.cached_property
-    def rule(self):
-        """_bridge_rule, built on first use (linhart's may be indefinite; the weights need none)."""
-        return _bridge_rule(self)
+    def _composition(self) -> tuple[np.ndarray, np.ndarray]:
+        """linhart's time-0 composition, its covariance and mean, inverted on first use: it may
+        be indefinite, and the weights need none of it."""
+        cov = _spd_inverse(self.composed_prec, "composed precision")
+        return cov, cov @ self.composed_lin
 
+    def bridges(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """The method's bridges' precisions (T, d, d) and precision-weighted means (T, d) at times.
 
-def _bridge_rule(proxies: CompositeSpec):
-    """alphas -> the method's bridges' precisions (T, d, d) and precision-weighted means (T, d).
-
-    Both rules take the same two steps, diffusion (tasks._diffuse, one d x d inverse per
-    covariance and alpha) and composition (CompositeSpec.compose), in the two orders. linhart
-    composes, then diffuses: the set-up's time-0 composition, which must be definite, is
-    diffused to each alpha. geffner diffuses, then composes: each distinct proxy covariance is
-    diffused to the alpha, inverted, and composed, one alpha at a time to bound the memory.
-    """
-    if proxies.method == "linhart":
-        cov = _spd_inverse(proxies.composed_prec, "composed precision")
-        mean = cov @ proxies.composed_lin
-
-        def diffused(alphas) -> tuple[np.ndarray, np.ndarray]:
-            root, covs = _diffuse(cov, np.atleast_1d(alphas)[:, None, None])
+        Both rules take the same two steps, diffusion (tasks._diffuse, one d x d inverse per
+        covariance and alpha) and composition (compose), in the two orders. linhart composes,
+        then diffuses: the set-up's time-0 composition, which must be definite, is diffused to
+        each alpha. geffner diffuses, then composes: each distinct proxy covariance is diffused
+        to the alpha, inverted, and composed, one alpha at a time to bound the memory.
+        """
+        alphas = np.atleast_1d(schedule_alpha(self.sched, times))
+        if self.method == "linhart":
+            cov, mean = self._composition
+            root, covs = _diffuse(cov, alphas[:, None, None])
             precs = _symmetric_inverse(covs)
             return precs, root[:, 0] * (precs @ mean)
-
-        return diffused
-
-    def composed(alphas) -> tuple[np.ndarray, np.ndarray]:
-        diffused = (_diffuse(proxies.covs, a) for a in np.atleast_1d(alphas))  # lazily
-        precs, lins = zip(*(proxies.compose(_symmetric_inverse(c), root) for root, c in diffused))
+        diffused = (_diffuse(self.covs, a) for a in alphas)  # lazily
+        precs, lins = zip(*(self.compose(_symmetric_inverse(c), root) for root, c in diffused))
         return np.array(precs), np.array(lins)
 
-    return composed
+    def level_weights(self, times) -> tuple:
+        """The rule's weights at each level time: the composite score is s_0 W_0 + sum_i s_i W_i.
+
+        Scores are row vectors. geffner has W_0 = (1-n) I and W_i = I. linhart,
+        with the backward-kernel precisions P_{t,i} = P_i + (alpha_t/v_t) I and
+        Lambda_t = P_c + (alpha_t/v_t) I, has W_0 = (1-n) P_{t,0} Lambda_t^{-1} and
+        W_i = P_{t,i} Lambda_t^{-1} (P, Lambda symmetric: Lambda^-1 P s' = (s P Lambda^-1)'),
+        one product per distinct covariance and time. Returns W_0 (L, d, d) and the W_i
+        (L, n, d, d) for the L times. The Cholesky factor of each Lambda_t (one per time: scipy
+        has no batched one) is the check: an indefinite Lambda_t is a linear-algebra error, and
+        nothing is regularized.
+        """
+        n, d = self.n, self.covs.shape[-1]
+        L = len(times)
+        if self.method == "geffner":
+            eye = np.eye(d)
+            return np.broadcast_to((1 - n) * eye, (L, d, d)), np.broadcast_to(eye, (L, n, d, d))
+        a = schedule_alpha(self.sched, np.asarray(times, dtype=float))
+        noise = 1.0 - a
+        if np.any(noise <= 0):
+            raise ValueError("backward-kernel weights need t > 0")
+        shrink = (a / noise)[:, None, None] * np.eye(d)
+        inverses = np.empty((L, d, d))
+        for t, lam, inverse in zip(times, self.composed_prec + shrink, inverses):
+            try:
+                inverse[...] = cho_solve(cho_factor(lam, lower=True), np.eye(d))
+            except np.linalg.LinAlgError as exc:
+                message = f"lambda matrix is not positive definite at t={t:g}"
+                raise np.linalg.LinAlgError(message) from exc
+        weights = ((self.precs + shrink[:, None]) @ inverses[:, None])[:, self.group]
+        return (1 - n) * weights[:, 0], weights[:, 1:]  # prior first
 
 
 def _bridges(proxies: CompositeSpec, times) -> tuple[np.ndarray, list]:
     """The bridges' precisions (T, d, d) and the bridges at each of the times (see proxy_bridge)."""
-    precs, lins = proxies.rule(schedule_alpha(proxies.sched, times))
+    precs, lins = proxies.bridges(times)
     covs = _spd_inverse(precs, "composed precision")
     return precs, [GaussianDist(mean=cov @ lin, cov=cov) for cov, lin in zip(covs, lins)]
 

@@ -54,12 +54,12 @@ class TuningConfig:
     T: int = 10
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         if not 0 < self.omega < 1:
             raise ValueError("omega must lie in (0, 1)")
-        if self.eps_dsm < 0:
-            raise ValueError("eps_dsm must be nonnegative")
+        if not 0 <= self.eps_dsm < math.inf:
+            raise ValueError("eps_dsm must be nonnegative and finite")
         if self.T < 1:
             raise ValueError("need at least one level")
 
@@ -160,8 +160,8 @@ def choose_step(m: float, M: float, cfg: TuningConfig, d: int) -> float:
 
 def choose_steps(m: float, h: float, w2_next: float, cfg: TuningConfig) -> int:
     """Smallest step count whose contraction beats (1-omega)*gamma, at least 1."""
-    if w2_next < 0:
-        raise ValueError("w2_next must be nonnegative")
+    if not 0 <= w2_next < math.inf:
+        raise ValueError("w2_next must be nonnegative and finite")
     mh = m * h
     if not 0 < mh < 1:
         raise ValueError("m*h must lie in (0, 1)")

@@ -197,6 +197,31 @@ def test_main_rejects_bad_config(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "3").exists()
 
 
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"tuning": {"eps_dsm_prior": float("nan")}}, "tuning.eps_dsm_prior must be finite"),
+        ({"tuning": {"gamma": float("inf")}}, "tuning.gamma must be finite, got inf"),
+        ({"schedule": {"beta_max": float("inf")}}, "schedule.beta_max must be finite, got inf"),
+        (
+            {"task": {"kind": "gmm_prior", "dim": 2, "n": 3,
+                      "prior": {"means": [[float("nan"), 0], [1, 1]]}}},
+            "task.prior.means must hold finite numbers, got nan",
+        ),
+    ],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, section, message):
+    # JSON's NaN, Infinity and -Infinity parse as floats; each is refused by name before any
+    # output exists. Unrefused, a NaN eps skips the bias budget, an infinite rate makes every
+    # bridge N(0, I), an infinite gamma ends in a traceback and a NaN mean fails every cell
+    path = _write_cfg(tmp_path / "cfg.json", {**BASE, **section})
+    assert "NaN" in Path(path).read_text() or "Infinity" in Path(path).read_text()
+    out = tmp_path / "out"
+    assert main(["sample", "--config", path, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unusable_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch):
     # an --out that names a file, or a directory below one, cannot be created:
     # exit 2 before any cell runs, not a traceback
@@ -407,10 +432,12 @@ def test_sample_indefinite_composition_is_a_tuning_failure(tmp_path, sched):
 
 @pytest.mark.parametrize("kind", ["gaussian", "gmm_prior"])
 def test_sample_sets_up_each_method_cell_once(tmp_path, monkeypatch, kind):
-    # plan builds a cell's proxy set-up from one per-observation conjugate update
-    # and builds its bridge rule; the sampler's field reads both from the plan
-    calls = {"update": 0, "setup": 0, "rule": 0}
-    update, init, rule = tasks._conjugate_update, theory.CompositeSpec.__init__, theory._bridge_rule
+    # plan builds a cell's proxy set-up from one per-observation conjugate update,
+    # and linhart's set-up inverts its time-0 composition once, on the plan's
+    # bridges; the sampler's field reads the set-up from the plan
+    calls = {"update": 0, "setup": 0, "composition": 0}
+    update, init = tasks._conjugate_update, theory.CompositeSpec.__init__
+    inverse = theory._spd_inverse
 
     def counted_update(task, x):
         calls["update"] += x.shape[1] == 1  # the reference's joint update conditions on all n
@@ -420,17 +447,17 @@ def test_sample_sets_up_each_method_cell_once(tmp_path, monkeypatch, kind):
         calls["setup"] += 1
         init(*args)
 
-    def counted_rule(proxies):
-        calls["rule"] += 1
-        return rule(proxies)
+    def counted_inverse(mats, label):  # the bridges' (T, d, d) stack is checked, not counted
+        calls["composition"] += label == "composed precision" and np.ndim(mats) == 2
+        return inverse(mats, label)
 
     for module in (tasks, theory):
         monkeypatch.setattr(module, "_conjugate_update", counted_update)
     monkeypatch.setattr(theory.CompositeSpec, "__init__", counted_init)
-    monkeypatch.setattr(theory, "_bridge_rule", counted_rule)
+    monkeypatch.setattr(theory, "_spd_inverse", counted_inverse)
     path = _write_cfg(tmp_path / "cfg.json", dict(BASE, task={"kind": kind, "dim": 2, "n": 3}))
     assert main(["sample", "--config", path, "--out", str(tmp_path / "run")]) == 0
-    assert calls == {"update": 2, "setup": 2, "rule": 2}
+    assert calls == {"update": 2, "setup": 2, "composition": 1}
 
 
 def test_sample_rejects_n_list(tmp_path, capsys):

@@ -99,6 +99,39 @@ def test_linhart_score_rejects_indefinite(sched):
         linhart_score(spec, lambda th, t: -th, posts, np.zeros((1, 2)), 0.9)
 
 
+def test_an_indefinite_composition_gives_weights_but_no_bridge(sched):
+    # the time-0 composition P_c is indefinite, but the spec builds, and at a small t the
+    # shrink alpha_t/v_t makes Lambda_t = P_c + (alpha_t/v_t) I SPD, so the weights exist there;
+    # linhart's bridges diffuse the inverse of P_c itself, so they do not
+    n, t = 3, 1e-5
+    spec = _spec("linhart", np.tile(np.eye(2) * 10.0, (n, 1, 1)), np.eye(2) * 1e-4, sched)
+    assert np.linalg.eigvalsh(spec.composed_prec).min() < 0
+    prior_weight, post_weights = spec.level_weights([t])
+    assert prior_weight.shape == (1, 2, 2) and post_weights.shape == (1, n, 2, 2)
+    with pytest.raises(ValueError, match="composed precision is not positive definite"):
+        spec.bridges([t])
+
+
+@pytest.mark.parametrize("planned", [False, True])
+def test_a_linhart_field_inverts_the_composition_once(planned, sched, monkeypatch):
+    # a one-component field asks the set-up for each level's bridge, and every call diffuses
+    # the one time-0 composition, inverted on the set-up's first bridge (the plan's, if given)
+    task = gaussian_task(np.eye(2) * 0.5, np.random.default_rng(4).standard_normal((3, 2)))
+    inverted, inverse = [], theory._spd_inverse
+
+    def counted(mats, label):
+        inverted.append(label == "composed precision" and np.ndim(mats) == 2)
+        return inverse(mats, label)
+
+    monkeypatch.setattr(theory, "_spd_inverse", counted)
+    cfg = TuningConfig(gamma=0.5, omega=0.5, T=10)
+    lp = plan(task, "linhart", cfg, sched) if planned else None
+    factory = composite_field(task, "linhart", sched, lp)
+    for p, t in enumerate(levels(sched, 10)[:-1].tolist()):
+        factory(p, t)(np.zeros((1, 2)), t)
+    assert sum(inverted) == 1
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_linhart_score_matches_solved_precision_weighting(seed, sched):
     # the folded weight matrices give Lambda_t^{-1} (sum_i P_{t,i} s_i + (1-n) P_{t,0} s_0)
@@ -134,13 +167,13 @@ def test_linhart_score_matches_solved_precision_weighting(seed, sched):
 )
 def test_lambda_is_spd_on_gaussian_tasks(sched, d, n, log10_lo, log10_cond, t, seed):
     # exact proxies compose to the joint posterior precision, so Lambda_t is
-    # SPD and _level_weights' Cholesky, which raises on an indefinite one,
+    # SPD and level_weights' Cholesky, which raises on an indefinite one,
     # succeeds; the folded weights then sum to Lambda_t Lambda_t^-1 = I
     rng = np.random.default_rng(seed)
     lo = 10.0**log10_lo
     task = gaussian_task(rand_spd(rng, d, lo, lo * 10.0**log10_cond), rng.standard_normal((n, d)))
     spec = spec_for_task(task, "linhart", sched)
-    [prior_weight], [post_weight] = composite._level_weights(spec, [t])
+    [prior_weight], [post_weight] = spec.level_weights([t])
     total = prior_weight + post_weight.reshape(n, d, d).sum(axis=0)
     np.testing.assert_allclose(total, np.eye(d), rtol=0, atol=1e-10)
 
@@ -162,8 +195,8 @@ def test_field_setup_runs_once_per_task(method, kind, sched, monkeypatch):
     # one conjugate update feeds one proxy set-up, which both branches read; for
     # linhart it inverts each distinct covariance once (a gaussian task's n equal
     # posterior covariances are one matrix), for geffner, which composes the diffused
-    # proxies instead, none. A gaussian field's bridge rule is built once, not per
-    # level: linhart inverts the time-0 composition once, geffner inverts the
+    # proxies instead, none. A gaussian field's bridges come from the set-up, and
+    # linhart inverts the time-0 composition once, not per level; geffner inverts the
     # diffused proxies per level with no check, and neither eigendecomposes. A
     # mixture field does no eigendecomposition, and each level sets up one kernel
     rng = np.random.default_rng(5)
@@ -272,7 +305,7 @@ def test_batched_level_setup_equals_one_level_setups_to_the_bit(kind, method, sc
     setup, prior = lp.setup, tasks.prior_dist(task)._params()
 
     def kernels(times):
-        prior_weights, post_weights = composite._level_weights(setup, times)
+        prior_weights, post_weights = setup.level_weights(times)
         stacks = [(setup.update, post_weights), (prior, prior_weights[:, None])]
         return prior_weights, post_weights, tasks._mixture_kernel(stacks, alpha(sched, times))
 

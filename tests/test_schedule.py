@@ -64,6 +64,9 @@ def test_schedule_validation():
         Schedule(beta_min=5.0, beta_max=1.0)
     with pytest.raises(ValueError):
         Schedule(t_floor=0.0)
+    for beta_max in (np.inf, np.nan):  # an infinite rate makes every bridge N(0, I)
+        with pytest.raises(ValueError, match=r"need 0 < beta_min <= beta_max < inf"):
+            Schedule(beta_max=beta_max)
     for t in (-0.1, 1.5, [0.5, 1.5]):
         with pytest.raises(ValueError, match=r"time must lie in \[0, 1\]"):
             alpha(Schedule(), t)

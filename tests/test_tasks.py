@@ -405,6 +405,15 @@ def test_task_validation():
         gmm_prior_task(np.eye(2), np.zeros((1, 2)), prior_weights=(0.2, 0.3, 0.5))
     with pytest.raises(ValueError, match="likelihood_cov_scales must be positive"):
         gmm_likelihood_task(np.zeros((1, 2)), dim=2, cov_scales=(1.0, -1.0))
+    for bad in (np.nan, np.inf):  # both pass a one-sided check such as not any(scales <= 0)
+        with pytest.raises(ValueError, match="observations must be finite"):
+            gaussian_task(np.eye(2), np.array([[0.0, bad]]))
+        with pytest.raises(ValueError, match="prior_means must be finite"):
+            gmm_prior_task(np.eye(2), np.zeros((1, 2)), prior_means=[[bad, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="prior_scales must be K positive finite values"):
+            gmm_prior_task(np.eye(2), np.zeros((1, 2)), prior_scales=(0.5, bad))
+        with pytest.raises(ValueError, match="likelihood_cov_scales must be positive and finite"):
+            gmm_likelihood_task(np.zeros((1, 2)), dim=2, cov_scales=(1.0, bad))
     with pytest.raises(ValueError, match="mean must be a vector"):
         GaussianDist(np.zeros((1, 2)), np.eye(2))
     with pytest.raises(ValueError, match="mean and cov dimensions disagree"):

@@ -68,8 +68,9 @@ def test_choose_steps_oracle():
     assert choose_steps(1.0, 0.5, 0.0, CFG) >= 1
     with pytest.raises(ValueError):
         choose_steps(1.0, 1.5, 0.3, CFG)  # m*h >= 1
-    with pytest.raises(ValueError, match="w2_next must be nonnegative"):
-        choose_steps(1.0, 0.5, -0.1, CFG)
+    for w2_next in (-0.1, np.inf, np.nan):  # NaN used to reach math.ceil
+        with pytest.raises(ValueError, match="w2_next must be nonnegative and finite"):
+            choose_steps(1.0, 0.5, w2_next, CFG)
 
 
 def test_bias_term_oracle():
@@ -91,6 +92,13 @@ def test_tuning_config_validation():
         TuningConfig(gamma=0.5, omega=0.5, eps_dsm=-0.1)
     with pytest.raises(ValueError):
         TuningConfig(gamma=0.5, omega=0.5, T=0)
+    # NaN fails every closed range, and an infinite target would plan no bias budget
+    for gamma in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            TuningConfig(gamma=gamma, omega=0.5)
+    for eps in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="eps_dsm must be nonnegative and finite"):
+            TuningConfig(gamma=0.5, omega=0.5, eps_dsm=eps)
 
 
 @pytest.mark.parametrize("method", ["geffner", "linhart"])
@@ -161,30 +169,25 @@ def test_plan_mixture_prior_uses_proxies(method, sched):
 def test_linhart_plan_composes_the_proxies_once(sched, monkeypatch):
     # linhart's bridges all diffuse one time-0 composition, whatever T is: the
     # proxy set-up inverts each distinct covariance once (a gaussian task's n
-    # equal posterior covariances are one), and the bridge rule is called once,
+    # equal posterior covariances are one), and its bridges are asked for once,
     # over the levels only, with no eigendecomposition. Distinct proxies (a
     # gmm_prior task's) change none of that but the number of inverses
     rng = np.random.default_rng(2)
     distinct = gmm_prior_task(np.eye(2) * 0.05, rng.standard_normal((30, 2)))
     for task, inverted in ((make_gaussian_task(seed=2, dim=10, n=30), 2), (distinct, 31)):
         calls, setups, eighs = [], [], []
-        rule, eigh = theory._bridge_rule, np.linalg.eigh
+        bridges, eigh = theory.CompositeSpec.bridges, np.linalg.eigh
 
-        def counted_rule(proxies):
-            setups.append(len(proxies.precs))
-            product = rule(proxies)
-
-            def counted(alphas):
-                calls.append(np.atleast_1d(alphas).size)
-                return product(alphas)
-
-            return counted
+        def counted_bridges(spec, times):
+            calls.append(np.atleast_1d(times).size)
+            setups.append(len(spec.precs))
+            return bridges(spec, times)
 
         def counted_eigh(*args):
             eighs.append(args)
             return eigh(*args)
 
-        monkeypatch.setattr(theory, "_bridge_rule", counted_rule)
+        monkeypatch.setattr(theory.CompositeSpec, "bridges", counted_bridges)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         lp = plan(task, "linhart", TuningConfig(gamma=0.5, omega=0.5, T=10), sched)
         monkeypatch.undo()
