@@ -215,7 +215,8 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, section, message
     # output exists. Unrefused, a NaN eps skips the bias budget, an infinite rate makes every
     # bridge N(0, I), an infinite gamma ends in a traceback and a NaN mean fails every cell
     path = _write_cfg(tmp_path / "cfg.json", {**BASE, **section})
-    assert "NaN" in Path(path).read_text() or "Infinity" in Path(path).read_text()
+    text = Path(path).read_text()
+    assert "NaN" in text or "Infinity" in text  # JSON's own literals, as a user would write them
     out = tmp_path / "out"
     assert main(["sample", "--config", path, "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err

@@ -68,7 +68,7 @@ def test_choose_steps_oracle():
     assert choose_steps(1.0, 0.5, 0.0, CFG) >= 1
     with pytest.raises(ValueError):
         choose_steps(1.0, 1.5, 0.3, CFG)  # m*h >= 1
-    for w2_next in (-0.1, np.inf, np.nan):  # NaN used to reach math.ceil
+    for w2_next in (-0.1, np.inf, np.nan):  # unrefused, inf reaches log(0) and NaN ceil(nan)
         with pytest.raises(ValueError, match="w2_next must be nonnegative and finite"):
             choose_steps(1.0, 0.5, w2_next, CFG)
 
@@ -92,7 +92,7 @@ def test_tuning_config_validation():
         TuningConfig(gamma=0.5, omega=0.5, eps_dsm=-0.1)
     with pytest.raises(ValueError):
         TuningConfig(gamma=0.5, omega=0.5, T=0)
-    # NaN fails every closed range, and an infinite target would plan no bias budget
+    # NaN fails every closed range; an infinite gamma makes choose_steps' target inf/inf
     for gamma in (np.inf, np.nan):
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             TuningConfig(gamma=gamma, omega=0.5)
